@@ -49,6 +49,7 @@ from .dendriform import (
 )
 from .duality import certify_duality, duality_pairing
 from .linear import LinComb, Rational, RatMatrix, kernel_basis, orthogonal_complement, rank
+from .relations import Scheme, check_scheme, relation_statement
 from .series import TPoly, TSeries, f_cube, f_delta, f_stasheff, series_identities_report
 from .trialgebra import (
     OPERAD_UNIT,
@@ -77,6 +78,7 @@ __all__ = [
     "Rational",
     "RatMatrix",
     "SIMPLEX_FAMILY",
+    "Scheme",
     "SubsetCell",
     "TPoly",
     "TREE_FAMILY",
@@ -89,6 +91,7 @@ __all__ = [
     "check_dg_rules",
     "check_generator_spans",
     "check_operad_axioms",
+    "check_scheme",
     "check_trialgebra_relations",
     "compositions",
     "decompose",
@@ -113,6 +116,7 @@ __all__ = [
     "parse_tree",
     "prec",
     "rank",
+    "relation_statement",
     "remove_leaf",
     "series_identities_report",
     "simplex_convention_sweep",

@@ -47,6 +47,19 @@ def _emit_json(payload) -> None:
     print(json.dumps(payload, indent=2, default=str))
 
 
+def _report(payload: dict, ok_key: str = "passed") -> int:
+    """Print a checker's report; exit 0 iff it passed."""
+    _emit_json(payload)
+    return 0 if payload[ok_key] else 1
+
+
+def _degree_counts(items) -> dict[int, int]:
+    by_degree: dict[int, int] = {}
+    for c in items:
+        by_degree[c.degree] = by_degree.get(c.degree, 0) + 1
+    return by_degree
+
+
 def _cells_for(family: str, arity: int):
     if family == "subset":
         return cells_mod.enumerate_subset_cells(arity)
@@ -62,14 +75,11 @@ def _cells_for(family: str, arity: int):
 
 def _cmd_cells(args) -> int:
     items = _cells_for(args.family, args.arity)
-    by_degree: dict[int, int] = {}
-    for c in items:
-        by_degree[c.degree] = by_degree.get(c.degree, 0) + 1
     payload = {
         "family": args.family,
         "arity": args.arity,
         "count": len(items),
-        "by_degree": by_degree,
+        "by_degree": _degree_counts(items),
         "cells": [c.literal() for c in items],
     }
     if args.format == "json":
@@ -102,24 +112,6 @@ def _cmd_tri_boundary(args) -> int:
     return 0
 
 
-def _cmd_tri_check_relations(args) -> int:
-    report = trialgebra.check_trialgebra_relations(args.max_arity)
-    _emit_json(report)
-    return 0 if report["passed"] else 1
-
-
-def _cmd_tri_check_dg(args) -> int:
-    report = trialgebra.check_dg_rules(args.max_arity)
-    _emit_json(report)
-    return 0 if report["discovery_passed"] else 1
-
-
-def _cmd_tri_check_operad(args) -> int:
-    report = trialgebra.check_operad_axioms(args.max_arity)
-    _emit_json(report)
-    return 0 if report["passed"] else 1
-
-
 def _cmd_dend_mul(args) -> int:
     x = cells_mod.parse_tree(args.x)
     y = cells_mod.parse_tree(args.y)
@@ -144,19 +136,13 @@ def _cmd_dend_power(args) -> int:
 def _cmd_dend_check_relations(args) -> int:
     relations = dendriform.check_dendriform_relations(args.max_leaves)
     assoc = dendriform.star_associativity(args.max_leaves)
-    payload = {
-        "passed": relations["passed"] and assoc["passed"],
-        "relations": relations,
-        "star_associativity": assoc,
-    }
-    _emit_json(payload)
-    return 0 if payload["passed"] else 1
-
-
-def _cmd_koszul_certify(_args) -> int:
-    report = duality.certify_duality()
-    _emit_json(report)
-    return 0 if report["passed"] else 1
+    return _report(
+        {
+            "passed": relations["passed"] and assoc["passed"],
+            "relations": relations,
+            "star_associativity": assoc,
+        }
+    )
 
 
 def _cmd_complex_build(args) -> int:
@@ -187,6 +173,8 @@ def _cmd_complex_build(args) -> int:
 
 
 def _cmd_series(args) -> int:
+    if args.order < 1:
+        raise ValueError(f"--order must be >= 1, got {args.order}")
     maker = {
         "delta": series_mod.f_delta,
         "stasheff": series_mod.f_stasheff,
@@ -231,9 +219,7 @@ def _dimensions_report() -> dict:
     tri_ok = True
     for n in range(1, 11):
         items = cells_mod.enumerate_subset_cells(n)
-        by_degree: dict[int, int] = {}
-        for c in items:
-            by_degree[c.degree] = by_degree.get(c.degree, 0) + 1
+        by_degree = _degree_counts(items)
         # ((1+t)^n - 1)/t has t^d coefficient binom(n, d+1)
         expected_poly = (TPoly.one_plus_t_power(n) - TPoly.const(1)).divexact(TPoly.t())
         got_poly = TPoly(
@@ -249,9 +235,7 @@ def _dimensions_report() -> dict:
     cube_ok = True
     for n in range(1, 7):
         items = cells_mod.enumerate_cube_cells(n)
-        by_degree = {}
-        for c in items:
-            by_degree[c.degree] = by_degree.get(c.degree, 0) + 1
+        by_degree = _degree_counts(items)
         poly = TPoly(tuple(by_degree.get(d, 0) for d in range(n)))
         expected = TPoly.const(1)
         for _ in range(n - 1):
@@ -285,20 +269,7 @@ def certify_all(level: str = "quick") -> dict:
     sections["duality"] = duality.certify_duality()
     families = {}
     for family in (complexes.SIMPLEX_FAMILY, complexes.TREE_FAMILY):
-        per_weight = []
-        for w in range(1, max_weight + 1):
-            gc = complexes.build_complex(family, w)
-            hom = complexes.homology_ranks(gc)
-            good = gc.d_squared_zero and hom["betti"] == complexes.expected_betti(w)
-            per_weight.append(
-                {
-                    "weight": w,
-                    "dims": hom["dims"],
-                    "betti": hom["betti"],
-                    "d_squared_zero": gc.d_squared_zero,
-                    "passed": good,
-                }
-            )
+        per_weight = [complexes.weight_report(family, w) for w in range(1, max_weight + 1)]
         families[family] = {
             "passed": all(e["passed"] for e in per_weight),
             "per_weight": per_weight,
@@ -313,12 +284,6 @@ def certify_all(level: str = "quick") -> dict:
         "passed": all(s["passed"] for s in sections.values()),
         "sections": sections,
     }
-
-
-def _cmd_certify_all(args) -> int:
-    report = certify_all(args.level)
-    _emit_json(report)
-    return 0 if report["passed"] else 1
 
 
 # =====================================================================
@@ -352,13 +317,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_tri_boundary)
     p = tri.add_parser("check-relations", help="the eleven product relations")
     p.add_argument("--max-arity", type=int, default=9)
-    p.set_defaults(fn=_cmd_tri_check_relations)
+    p.set_defaults(fn=lambda a: _report(trialgebra.check_trialgebra_relations(a.max_arity)))
     p = tri.add_parser("check-dg", help="boundary/product rule discovery")
     p.add_argument("--max-arity", type=int, default=6)
-    p.set_defaults(fn=_cmd_tri_check_dg)
+    p.set_defaults(
+        fn=lambda a: _report(trialgebra.check_dg_rules(a.max_arity), "discovery_passed")
+    )
     p = tri.add_parser("check-operad", help="operad associativity and units")
     p.add_argument("--max-arity", type=int, default=6)
-    p.set_defaults(fn=_cmd_tri_check_operad)
+    p.set_defaults(fn=lambda a: _report(trialgebra.check_operad_axioms(a.max_arity)))
 
     dend = sub.add_parser("dend", help="planar-tree algebra").add_subparsers(
         dest="subcommand", required=True
@@ -379,7 +346,7 @@ def _build_parser() -> argparse.ArgumentParser:
         dest="subcommand", required=True
     )
     p = koszul.add_parser("certify", help="full duality certificate")
-    p.set_defaults(fn=_cmd_koszul_certify)
+    p.set_defaults(fn=lambda a: _report(duality.certify_duality()))
 
     comp = sub.add_parser("complex", help="weight-graded chain complexes").add_subparsers(
         dest="subcommand", required=True
@@ -399,7 +366,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify-all", help="run every certification")
     p.add_argument("--level", choices=["quick", "full"], default="quick")
-    p.set_defaults(fn=_cmd_certify_all)
+    p.set_defaults(fn=lambda a: _report(certify_all(a.level)))
 
     return parser
 

@@ -149,24 +149,20 @@ class GradedComplex:
         return {n: len(basis) for n, basis in self.levels.items()}
 
 
-def _factor_basis(family: str, weight: int):
-    # factors come from the free algebra of the dual family
-    if family == SIMPLEX_FAMILY:
-        return enumerate_planar_trees(weight + 1)
-    return enumerate_subset_cells(weight)
-
-
-def _coefficient_cells(family: str, n: int):
+def _arity_basis(family: str, n: int):
+    """Subset cells of {1..n}, or planar trees with n+1 leaves."""
     if family == SIMPLEX_FAMILY:
         return enumerate_subset_cells(n)
     return enumerate_planar_trees(n + 1)
 
 
 def _level_basis(family: str, weight: int, n: int) -> list:
-    coeffs = _coefficient_cells(family, n)
+    coeffs = _arity_basis(family, n)
+    # factors come from the free algebra of the dual family
+    dual = TREE_FAMILY if family == SIMPLEX_FAMILY else SIMPLEX_FAMILY
     out = []
     for comp in compositions(weight, n):
-        factor_lists = [_factor_basis(family, w) for w in comp]
+        factor_lists = [_arity_basis(dual, w) for w in comp]
         for coeff_cell in coeffs:
             for factors in itertools.product(*factor_lists):
                 out.append((coeff_cell, factors))
@@ -213,14 +209,21 @@ def build_complex(family: str, weight: int, **face_kwargs) -> GradedComplex:
             if any(acc.values()):
                 gc.d_squared_zero = False
                 if gc.d_squared_failure is None:
-                    coeff_cell, factors = gc.levels[n][k]
                     gc.d_squared_failure = {
                         "level": n,
-                        "element": str(coeff_cell)
-                        + " ; "
-                        + ",".join(str(f) for f in factors),
+                        "element": _label(gc.levels[n][k]),
+                        "residual": {
+                            _label(gc.levels[n - 2][j]): c
+                            for j, c in sorted(acc.items())
+                            if c
+                        },
                     }
     return gc
+
+
+def _label(elem) -> str:
+    coeff_cell, factors = elem
+    return str(coeff_cell) + " ; " + ",".join(str(f) for f in factors)
 
 
 def homology_ranks(gc: GradedComplex) -> dict:
@@ -240,84 +243,67 @@ def expected_betti(weight: int) -> dict[int, int]:
     return {n: 1 if (n == 1 and weight == 1) else 0 for n in range(1, weight + 1)}
 
 
-def face_convention_sweep(max_weight: int = 3) -> dict:
-    """Rebuild the tree-coefficient complexes under every candidate
-    leaf-index/orientation convention and report which ones satisfy both
-    d^2 = 0 and the expected homology for all weights <= max_weight.
+def weight_report(family: str, weight: int, **face_kwargs) -> dict:
+    """Build one complex; check d^2 = 0 and the expected Betti numbers."""
+    gc = build_complex(family, weight, **face_kwargs)
+    hom = homology_ranks(gc)
+    return {
+        "weight": weight,
+        "dims": hom["dims"],
+        "betti": hom["betti"],
+        "d_squared_zero": gc.d_squared_zero,
+        "passed": gc.d_squared_zero and hom["betti"] == expected_betti(weight),
+    }
 
-    The four candidates are leaf offset 0/1 (face i reads leaf i or
-    leaf i+1) crossed with the natural or mirrored orientation map.
-    """
-    candidates = []
-    for offset in (0, 1):
-        for ops_name, ops in (("natural", TREE_FACE_OPS), ("mirrored", _MIRRORED_OPS)):
-            ok = True
-            detail = []
-            for w in range(1, max_weight + 1):
-                gc = build_complex(
-                    TREE_FAMILY, w, leaf_offset=offset, orientation_ops=ops
-                )
-                hom = homology_ranks(gc)
-                good = gc.d_squared_zero and hom["betti"] == expected_betti(w)
-                detail.append(
-                    {
-                        "weight": w,
-                        "d_squared_zero": gc.d_squared_zero,
-                        "betti": hom["betti"],
-                    }
-                )
-                ok = ok and good
-            candidates.append(
-                {
-                    "leaf_offset": offset,
-                    "orientation_map": ops_name,
-                    "passes": ok,
-                    "detail": detail,
-                }
-            )
-    passing = [
-        (c["leaf_offset"], c["orientation_map"]) for c in candidates if c["passes"]
-    ]
+
+def _sweep(family: str, max_weight: int, candidates, pinned_label, **pin_fields) -> dict:
+    """Which candidate conventions, each (label, report fields, build_complex
+    keyword arguments), give d^2 = 0 and the expected homology at every
+    weight <= max_weight; ``pinned_label`` is the one the package uses."""
+    results = []
+    passing = []
+    for label, fields, face_kwargs in candidates:
+        reports = [weight_report(family, w, **face_kwargs) for w in range(1, max_weight + 1)]
+        ok = all(r["passed"] for r in reports)
+        detail = [{k: r[k] for k in ("weight", "d_squared_zero", "betti")} for r in reports]
+        results.append({**fields, "passes": ok, "detail": detail})
+        if ok:
+            passing.append(label)
     return {
         "max_weight": max_weight,
-        "candidates": candidates,
+        "candidates": results,
         "passing": passing,
         "unique": len(passing) == 1,
-        "pinned": (TREE_FACE_LEAF_OFFSET, "natural"),
-        "pinned_is_unique_pass": passing == [(TREE_FACE_LEAF_OFFSET, "natural")],
+        **pin_fields,
+        "pinned_is_unique_pass": passing == [pinned_label],
     }
+
+
+def face_convention_sweep(max_weight: int = 3) -> dict:
+    """Sweep the tree-coefficient complexes over leaf offset 0/1 (face i
+    reads leaf i or leaf i+1) crossed with the natural or mirrored
+    orientation map."""
+    candidates = [
+        (
+            (offset, ops_name),
+            {"leaf_offset": offset, "orientation_map": ops_name},
+            {"leaf_offset": offset, "orientation_ops": ops},
+        )
+        for offset in (0, 1)
+        for ops_name, ops in (("natural", TREE_FACE_OPS), ("mirrored", _MIRRORED_OPS))
+    ]
+    pinned = (TREE_FACE_LEAF_OFFSET, "natural")
+    return _sweep(TREE_FAMILY, max_weight, candidates, pinned, pinned=pinned)
 
 
 def simplex_convention_sweep(max_weight: int = 3) -> dict:
-    """Rebuild the simplex-coefficient complexes under both orientations
-    of the mixed rows of the face-product table and report which one
-    satisfies d^2 = 0 and the expected homology for weights <= max_weight.
-    """
-    candidates = []
-    for name, table in (
-        ("pinned", SIMPLEX_FACE_TABLE),
-        ("mirrored", _MIRRORED_SIMPLEX_TABLE),
-    ):
-        ok = True
-        detail = []
-        for w in range(1, max_weight + 1):
-            gc = build_complex(SIMPLEX_FAMILY, w, product_table=table)
-            hom = homology_ranks(gc)
-            good = gc.d_squared_zero and hom["betti"] == expected_betti(w)
-            detail.append(
-                {
-                    "weight": w,
-                    "d_squared_zero": gc.d_squared_zero,
-                    "betti": hom["betti"],
-                }
-            )
-            ok = ok and good
-        candidates.append({"table": name, "passes": ok, "detail": detail})
-    passing = [c["table"] for c in candidates if c["passes"]]
-    return {
-        "max_weight": max_weight,
-        "candidates": candidates,
-        "passing": passing,
-        "unique": len(passing) == 1,
-        "pinned_is_unique_pass": passing == ["pinned"],
-    }
+    """Sweep the simplex-coefficient complexes over both orientations of
+    the mixed rows of the face-product table."""
+    candidates = [
+        (name, {"table": name}, {"product_table": table})
+        for name, table in (
+            ("pinned", SIMPLEX_FACE_TABLE),
+            ("mirrored", _MIRRORED_SIMPLEX_TABLE),
+        )
+    ]
+    return _sweep(SIMPLEX_FAMILY, max_weight, candidates, "pinned")

@@ -17,10 +17,12 @@ Arity is additive: leaves(x op y) = leaves(x) + leaves(y) - 1.
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 from functools import lru_cache
 
 from .cells import LEAF, PlanarTree, decompose, enumerate_planar_trees, graft
 from .linear import LinComb, as_lincomb, rank
+from .relations import Scheme, check_scheme
 
 GENERATOR = graft((LEAF, LEAF))
 
@@ -30,31 +32,27 @@ GENERATOR = graft((LEAF, LEAF))
 # =====================================================================
 
 
+def _graft_star(head: tuple, x: PlanarTree, y: PlanarTree, tail: tuple) -> LinComb:
+    """Graft head, each term of x * y, tail under one root."""
+    return LinComb((graft(head + (t,) + tail), c) for t, c in _star(x, y))
+
+
 @lru_cache(maxsize=None)
 def _prec(x: PlanarTree, y: PlanarTree) -> LinComb:
     parts = decompose(x)
-    out = LinComb()
-    for t, c in _star(parts[-1], y):
-        out = out + c * LinComb.single(graft(parts[:-1] + (t,)))
-    return out
+    return _graft_star(parts[:-1], parts[-1], y, ())
 
 
 @lru_cache(maxsize=None)
 def _succ(x: PlanarTree, y: PlanarTree) -> LinComb:
     parts = decompose(y)
-    out = LinComb()
-    for t, c in _star(x, parts[0]):
-        out = out + c * LinComb.single(graft((t,) + parts[1:]))
-    return out
+    return _graft_star((), x, parts[0], parts[1:])
 
 
 @lru_cache(maxsize=None)
 def _mid(x: PlanarTree, y: PlanarTree) -> LinComb:
     xp, yp = decompose(x), decompose(y)
-    out = LinComb()
-    for t, c in _star(xp[-1], yp[0]):
-        out = out + c * LinComb.single(graft(xp[:-1] + (t,) + yp[1:]))
-    return out
+    return _graft_star(xp[:-1], xp[-1], yp[0], yp[1:])
 
 
 def _star(x: PlanarTree, y: PlanarTree) -> LinComb:
@@ -116,44 +114,22 @@ DENDRIFORM_RELATIONS: list[tuple[str, str, str, str]] = [
     ("mid", "mid", "mid", "mid"),
 ]
 
+DENDRIFORM_SCHEME = Scheme(
+    generators=("prec", "succ", "mid"),
+    ops=DEND_OPS,
+    rows=tuple(DENDRIFORM_RELATIONS),
+    sum_symbol="star",
+    basis=enumerate_planar_trees,
+    min_size=2,
+)
 
-def relation_statement(rel: tuple[str, str, str, str]) -> str:
-    a, b, c, d = rel
-    return f"(x {a} y) {b} z = x {c} (y {d} z)"
-
-
-def _tree_triples(max_leaves: int):
-    for p in range(2, max_leaves - 3):
-        for q in range(2, max_leaves - p - 1):
-            for r in range(2, max_leaves - p - q + 1):
-                for x in enumerate_planar_trees(p):
-                    for y in enumerate_planar_trees(q):
-                        for z in enumerate_planar_trees(r):
-                            yield x, y, z
+# associativity of star is the single row (star, star, star, star)
+STAR_SCHEME = replace(DENDRIFORM_SCHEME, rows=(("star",) * 4,))
 
 
 def check_dendriform_relations(max_leaves: int) -> dict:
     """All seven relations on every tree triple with leaf sum <= max_leaves."""
-    per_relation = [
-        {"relation": relation_statement(rel), "holds": True, "counterexample": None}
-        for rel in DENDRIFORM_RELATIONS
-    ]
-    triples = 0
-    for x, y, z in _tree_triples(max_leaves):
-        triples += 1
-        for rel, entry in zip(DENDRIFORM_RELATIONS, per_relation):
-            a, b, c, d = rel
-            lhs = DEND_OPS[b](DEND_OPS[a](x, y), z)
-            rhs = DEND_OPS[c](x, DEND_OPS[d](y, z))
-            if lhs != rhs and entry["holds"]:
-                entry["holds"] = False
-                entry["counterexample"] = {
-                    "x": x.literal(),
-                    "y": y.literal(),
-                    "z": z.literal(),
-                    "lhs": str(lhs),
-                    "rhs": str(rhs),
-                }
+    per_relation, triples = check_scheme(DENDRIFORM_SCHEME, max_leaves)
     return {
         "passed": all(e["holds"] for e in per_relation),
         "max_leaves": max_leaves,
@@ -164,19 +140,12 @@ def check_dendriform_relations(max_leaves: int) -> dict:
 
 def star_associativity(max_leaves: int) -> dict:
     """(x*y)*z = x*(y*z) on every tree triple with leaf sum <= max_leaves."""
-    triples = 0
-    first_failure = None
-    for x, y, z in _tree_triples(max_leaves):
-        triples += 1
-        lhs = star(star(x, y), z)
-        rhs = star(x, star(y, z))
-        if lhs != rhs and first_failure is None:
-            first_failure = {"x": x.literal(), "y": y.literal(), "z": z.literal()}
+    (entry,), triples = check_scheme(STAR_SCHEME, max_leaves)
     return {
-        "passed": first_failure is None,
+        "passed": entry["holds"],
         "max_leaves": max_leaves,
         "triples_checked": triples,
-        "first_failure": first_failure,
+        "first_failure": entry["counterexample"],
     }
 
 

@@ -18,20 +18,17 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import replace
 
-from .dendriform import DENDRIFORM_RELATIONS
-from .dendriform import relation_statement as dend_statement
-from .linear import RatMatrix, orthogonal_complement, rank
-from .trialgebra import TRIALGEBRA_RELATIONS
-from .trialgebra import relation_statement as tri_statement
+from .dendriform import DENDRIFORM_SCHEME
+from .linear import orthogonal_complement, rank
+from .relations import Scheme, relation_statement
+from .trialgebra import TRIALGEBRA_SCHEME
 
-TRI_GENERATORS = ("left", "right", "mid")
-DEND_GENERATORS = ("prec", "succ", "mid")
+TRI_GENERATORS = TRIALGEBRA_SCHEME.generators
+DEND_GENERATORS = DENDRIFORM_SCHEME.generators
 
 DIMENSION = 18  # 2 slots x 3 outer x 3 inner
-
-_GEN_INDEX_TRI = {g: i for i, g in enumerate(TRI_GENERATORS)}
-_GEN_INDEX_DEND = {g: i for i, g in enumerate(DEND_GENERATORS)}
 
 
 def basis_index(slot: int, outer: int, inner: int) -> int:
@@ -50,20 +47,20 @@ def basis_labels(generators: tuple[str, str, str]) -> list[str]:
     return out
 
 
-def _relation_vector(rel, gen_index, expandable: str | None) -> list[int]:
+def _relation_vector(scheme: Scheme, rel) -> list[int]:
     """(x a y) b z - x c (y d z) as a weight-2 vector.
 
     LHS composites sit in slot 1 (outer = b, inner = a), RHS in slot 2
-    (outer = c, inner = d).  The ``expandable`` symbol (the sum of all
-    three generators) fans out into all three.
+    (outer = c, inner = d).  The scheme's sum symbol fans out into all
+    three generators.
     """
     a, b, c, d = rel
     vec = [0] * DIMENSION
 
     def terms(sym):
-        if sym == expandable:
-            return list(range(3))
-        return [gen_index[sym]]
+        if sym == scheme.sum_symbol:
+            return range(3)
+        return [scheme.generators.index(sym)]
 
     for outer in terms(b):
         for inner in terms(a):
@@ -74,24 +71,35 @@ def _relation_vector(rel, gen_index, expandable: str | None) -> list[int]:
     return vec
 
 
+def relation_vectors(scheme: Scheme) -> list[list[int]]:
+    return [_relation_vector(scheme, r) for r in scheme.rows]
+
+
 def trialgebra_relation_vectors() -> list[list[int]]:
-    return [_relation_vector(r, _GEN_INDEX_TRI, None) for r in TRIALGEBRA_RELATIONS]
+    return relation_vectors(TRIALGEBRA_SCHEME)
 
 
 def dendriform_relation_vectors() -> list[list[int]]:
-    return [_relation_vector(r, _GEN_INDEX_DEND, "star") for r in DENDRIFORM_RELATIONS]
+    return relation_vectors(DENDRIFORM_SCHEME)
+
+
+def negative_control_scheme() -> Scheme:
+    """The simplex-side scheme with relation 8's inner RHS product flipped
+    to left: both the pairing and the product check must reject it."""
+    rows = list(TRIALGEBRA_SCHEME.rows)
+    a, b, c, _ = rows[7]
+    rows[7] = (a, b, c, "left")
+    return replace(TRIALGEBRA_SCHEME, rows=tuple(rows))
+
+
+def _slot_weights(convention) -> list[int]:
+    return [convention[0]] * 9 + [convention[1]] * 9
 
 
 def duality_pairing(u: list[int], v: list[int], convention=(1, -1)) -> int:
     """Diagonal pairing: slot-1 coordinates weigh convention[0], slot-2
     coordinates convention[1]; generators are identified positionally."""
-    s1, s2 = convention
-    total = 0
-    for i in range(9):
-        total += s1 * u[i] * v[i]
-    for i in range(9, 18):
-        total += s2 * u[i] * v[i]
-    return total
+    return sum(w * a * b for w, a, b in zip(_slot_weights(convention), u, v, strict=True))
 
 
 def _pairing_matrix(us, vs, convention):
@@ -99,11 +107,8 @@ def _pairing_matrix(us, vs, convention):
 
 
 def _gram(convention) -> list[list[int]]:
-    s1, s2 = convention
-    return [
-        [(s1 if i < 9 else s2) if i == j else 0 for j in range(DIMENSION)]
-        for i in range(DIMENSION)
-    ]
+    w = _slot_weights(convention)
+    return [[w[i] if i == j else 0 for j in range(DIMENSION)] for i in range(DIMENSION)]
 
 
 def _spans_match(vectors_a, vectors_b) -> bool:
@@ -164,14 +169,8 @@ def certify_duality() -> dict:
     comp = orthogonal_complement(tri_vecs, _gram(chosen))
     complement_matches = _spans_match([list(b) for b in comp.basis], dend_vecs)
 
-    # negative control: flip relation 8's inner RHS product and require a
-    # nonzero pairing somewhere
-    perturbed = list(TRIALGEBRA_RELATIONS)
-    a, b, c, _ = perturbed[7]
-    perturbed[7] = (a, b, c, "left")
-    perturbed_vecs = [
-        _relation_vector(r, _GEN_INDEX_TRI, None) for r in perturbed
-    ]
+    # negative control: a perturbed relation must pair nonzero somewhere
+    perturbed_vecs = relation_vectors(negative_control_scheme())
     control = _pairing_matrix(perturbed_vecs, dend_vecs, chosen)
     control_breaks = any(v != 0 for row in control for v in row)
 
@@ -201,6 +200,6 @@ def certify_duality() -> dict:
         "complement_matches": complement_matches,
         "negative_control_breaks": control_breaks,
         "associative_diagonal": diagonal,
-        "trialgebra_relations": [tri_statement(r) for r in TRIALGEBRA_RELATIONS],
-        "dendriform_relations": [dend_statement(r) for r in DENDRIFORM_RELATIONS],
+        "trialgebra_relations": [relation_statement(r) for r in TRIALGEBRA_SCHEME.rows],
+        "dendriform_relations": [relation_statement(r) for r in DENDRIFORM_SCHEME.rows],
     }

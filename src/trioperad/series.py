@@ -298,6 +298,8 @@ class TSeries:
         for k >= 2 needs only g_1..g_(m-1), and
         [x^m] self(g) = c1 g_m + sum_{k>=2} f_k [x^m] g^k = 0 for m >= 2.
         """
+        if self.order < 1:
+            raise ValueError("compositional inverse needs order >= 1")
         if not self.coeffs[0].is_zero():
             raise ValueError("compositional inverse needs zero constant term")
         c1 = self.coeffs[1]

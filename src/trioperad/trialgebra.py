@@ -24,6 +24,7 @@ import itertools
 
 from .cells import SubsetCell, compositions, enumerate_subset_cells
 from .linear import LinComb, as_lincomb
+from .relations import Scheme, check_scheme, require_bound
 
 OPERAD_UNIT = SubsetCell(1, (1,))
 
@@ -58,6 +59,7 @@ def gamma(outer: SubsetCell, args: "list[SubsetCell] | tuple[SubsetCell, ...]") 
 def check_operad_axioms(max_arity: int) -> dict:
     """Exhaustive associativity + unit check for all composites of total
     arity (arity of the composed operation) up to ``max_arity``."""
+    require_bound(max_arity, 1, "composite")
     unit_cases = 0
     assoc_cases = 0
     first_failure = None
@@ -168,39 +170,19 @@ TRIALGEBRA_RELATIONS: list[tuple[str, str, str, str]] = [
     ("mid", "mid", "mid", "mid"),
 ]
 
-
-def relation_statement(rel: tuple[str, str, str, str]) -> str:
-    a, b, c, d = rel
-    return f"(x {a} y) {b} z = x {c} (y {d} z)"
+TRIALGEBRA_SCHEME = Scheme(
+    generators=("left", "right", "mid"),
+    ops=CELL_OPS,
+    rows=tuple(TRIALGEBRA_RELATIONS),
+    sum_symbol=None,
+    basis=enumerate_subset_cells,
+    min_size=1,
+)
 
 
 def check_trialgebra_relations(max_arity: int) -> dict:
     """All eleven relations on every basis-cell triple with arity sum <= max."""
-    per_relation = [
-        {"relation": relation_statement(rel), "holds": True, "counterexample": None}
-        for rel in TRIALGEBRA_RELATIONS
-    ]
-    triples = 0
-    for p in range(1, max_arity - 1):
-        for q in range(1, max_arity - p):
-            for r in range(1, max_arity - p - q + 1):
-                for x in enumerate_subset_cells(p):
-                    for y in enumerate_subset_cells(q):
-                        for z in enumerate_subset_cells(r):
-                            triples += 1
-                            for rel, entry in zip(TRIALGEBRA_RELATIONS, per_relation):
-                                a, b, c, d = rel
-                                lhs = CELL_OPS[b](CELL_OPS[a](x, y), z)
-                                rhs = CELL_OPS[c](x, CELL_OPS[d](y, z))
-                                if lhs != rhs and entry["holds"]:
-                                    entry["holds"] = False
-                                    entry["counterexample"] = {
-                                        "x": x.literal(),
-                                        "y": y.literal(),
-                                        "z": z.literal(),
-                                        "lhs": lhs.literal(),
-                                        "rhs": rhs.literal(),
-                                    }
+    per_relation, triples = check_scheme(TRIALGEBRA_SCHEME, max_arity)
     return {
         "passed": all(e["holds"] for e in per_relation),
         "max_arity": max_arity,
@@ -315,6 +297,7 @@ def check_dg_rules(max_arity: int) -> dict:
     mid rule the discovery run certifies.  Failures come with the first
     counterexample.
     """
+    require_bound(max_arity, 2, "cell pair")
     variants = _dg_rule_variants()
     results = [
         {"name": name, "statement": stmt, "holds": True, "checked": 0, "counterexample": None}

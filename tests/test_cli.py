@@ -85,6 +85,24 @@ def test_tri_parse_error_exits_2(capsys):
     assert "grammar" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tri", "check-relations", "--max-arity", "-5"],
+        ["tri", "check-relations", "--max-arity", "2"],
+        ["tri", "check-operad", "--max-arity", "0"],
+        ["tri", "check-dg", "--max-arity", "1"],
+        ["dend", "check-relations", "--max-leaves", "5"],
+    ],
+)
+def test_vacuous_bound_exits_2(capsys, argv):
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "smallest valid bound" in captured.err
+
+
 # ------------------------------------------------------------------- dend
 
 
@@ -180,6 +198,15 @@ def test_series_csv(capsys):
     assert code == 0
     assert len(out) == 4
     assert out[1].startswith("1,")
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_series_order_below_one_exits_2(capsys, fmt):
+    code = run(["series", "--family", "delta", "--order", "0", "--format", fmt])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "--order must be >= 1" in captured.err
 
 
 # ------------------------------------------------------------- certify-all

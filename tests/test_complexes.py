@@ -174,3 +174,32 @@ def test_simplex_convention_sweep_unique():
     # the mirrored table already breaks d^2 = 0 at weight 3
     mirrored = next(c for c in sweep["candidates"] if c["table"] == "mirrored")
     assert not mirrored["detail"][2]["d_squared_zero"]
+
+
+def test_d_squared_failure_carries_residual():
+    # the mirrored face table (prec and succ swapped on the mixed rows)
+    mirrored = {
+        (True, True): "mid",
+        (True, False): "succ",
+        (False, True): "prec",
+        (False, False): "star",
+    }
+    gc = build_complex(SIMPLEX_FAMILY, 3, product_table=mirrored)
+    assert not gc.d_squared_zero
+    failure = gc.d_squared_failure
+    assert failure["level"] == 3
+    residual = failure["residual"]
+    assert residual and all(c != 0 for c in residual.values())
+    # recompute d(d(element)) from the boundary matrices
+    labels = [str(c) + " ; " + ",".join(map(str, fs)) for c, fs in gc.levels[3]]
+    k = labels.index(failure["element"])
+    acc = {}
+    for j, c in gc.diff[3][k].items():
+        for i, cc in gc.diff[2][j].items():
+            acc[i] = acc.get(i, 0) + c * cc
+    want = {
+        str(gc.levels[1][i][0]) + " ; " + ",".join(map(str, gc.levels[1][i][1])): c
+        for i, c in acc.items()
+        if c
+    }
+    assert residual == want

@@ -11,13 +11,13 @@ from trioperad.dendriform import (
     check_generator_spans,
     mid,
     prec,
-    relation_statement,
     star,
     star_associativity,
     star_power,
     succ,
 )
 from trioperad.linear import LinComb
+from trioperad.relations import relation_statement
 
 # the 7 relations, frozen as (a, b, c, d) for (x a y) b z = x c (y d z)
 FROZEN_RELATIONS = [

@@ -113,6 +113,11 @@ def test_tseries_compose_and_invert():
     assert signs == [(-1) ** (n - 1) for n in range(1, order + 1)]
 
 
+def test_tseries_invert_order_zero():
+    with pytest.raises(ValueError, match="order >= 1"):
+        TSeries(0).invert()
+
+
 def test_tseries_shift():
     x = TSeries.x(4)
     up = x.shift_up()

@@ -4,6 +4,7 @@ import pytest
 
 from trioperad.cells import parse_subset_cell as cell
 from trioperad.linear import LinComb
+from trioperad.relations import relation_statement
 from trioperad.trialgebra import (
     OPERAD_UNIT,
     TRI_OPS,
@@ -16,7 +17,6 @@ from trioperad.trialgebra import (
     left_cell,
     mid_cell,
     right_cell,
-    relation_statement,
     tri_left,
     tri_mid,
     tri_right,
