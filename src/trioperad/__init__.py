@@ -48,7 +48,7 @@ from .dendriform import (
     succ,
 )
 from .duality import certify_duality, duality_pairing
-from .linear import LinComb, Rational, RatMatrix, kernel_basis, orthogonal_complement, rank
+from .linear import LinComb, Rational, rank
 from .relations import Scheme, check_scheme, relation_statement
 from .series import TPoly, TSeries, f_cube, f_delta, f_stasheff, series_identities_report
 from .trialgebra import (
@@ -76,7 +76,6 @@ __all__ = [
     "OPERAD_UNIT",
     "PlanarTree",
     "Rational",
-    "RatMatrix",
     "SIMPLEX_FAMILY",
     "Scheme",
     "SubsetCell",
@@ -108,9 +107,7 @@ __all__ = [
     "gamma",
     "graft",
     "homology_ranks",
-    "kernel_basis",
     "leaf_orientation",
-    "orthogonal_complement",
     "parse_cube_cell",
     "parse_subset_cell",
     "parse_tree",

@@ -150,6 +150,8 @@ def _cmd_complex_build(args) -> int:
     unknown = wanted - {"dims", "d2", "betti"}
     if unknown:
         raise ValueError(f"unknown report sections {sorted(unknown)}; use dims,d2,betti")
+    if not wanted:
+        raise ValueError("empty report selection; use one or more of dims,d2,betti")
     gc = complexes.build_complex(args.family, args.weight)
     payload: dict = {"family": args.family, "weight": args.weight}
     ok = True
@@ -175,14 +177,19 @@ def _cmd_complex_build(args) -> int:
 def _cmd_series(args) -> int:
     if args.order < 1:
         raise ValueError(f"--order must be >= 1, got {args.order}")
+    try:
+        q = None if args.t_eval is None else Fraction(args.t_eval)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(
+            f"--t-eval takes a rational number such as 2, -3 or 1/2, got {args.t_eval!r}"
+        ) from None
     maker = {
         "delta": series_mod.f_delta,
         "stasheff": series_mod.f_stasheff,
         "cube": series_mod.f_cube,
     }[args.family]
     fs = maker(args.order)
-    if args.t_eval is not None:
-        q = Fraction(args.t_eval)
+    if q is not None:
         values = fs.evaluate_t(q)
         rows = [(n, str(values[n])) for n in range(1, args.order + 1)]
         value_key = f"value at t={q}"

@@ -171,13 +171,13 @@ def _level_basis(family: str, weight: int, n: int) -> list:
 
 def _boundary_of(family: str, elem, **face_kwargs) -> LinComb:
     coeff_cell, factors = elem
-    n = len(factors)
-    total = LinComb()
     face = face_map_simplex_coeff if family == SIMPLEX_FAMILY else face_map_tree_coeff
-    for i in range(1, n):
-        sign = -((-1) ** i)  # d = -sum_i (-1)^i d_i
-        total = total + sign * face(i, coeff_cell, factors, **face_kwargs)
-    return total
+    # d = -sum_i (-1)^i d_i
+    return LinComb(
+        (b, -((-1) ** i) * c)
+        for i in range(1, len(factors))
+        for b, c in face(i, coeff_cell, factors, **face_kwargs)
+    )
 
 
 def build_complex(family: str, weight: int, **face_kwargs) -> GradedComplex:
@@ -197,7 +197,7 @@ def build_complex(family: str, weight: int, **face_kwargs) -> GradedComplex:
         rows = []
         for elem in gc.levels[n]:
             image = _boundary_of(family, elem, **face_kwargs)
-            rows.append({index[n - 1][b]: int(c) for b, c in image})
+            rows.append({index[n - 1][b]: c for b, c in image})
         gc.diff[n] = rows
     for n in range(3, weight + 1):
         lower = gc.diff[n - 1]

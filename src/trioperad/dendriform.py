@@ -67,16 +67,20 @@ def _star(x: PlanarTree, y: PlanarTree) -> LinComb:
 def _bilinear(tree_fn, allow_leaf: bool):
     def op(x, y) -> LinComb:
         xs, ys = as_lincomb(x), as_lincomb(y)
-        out = LinComb()
-        for bx, cx in xs:
-            for by, cy in ys:
-                if not allow_leaf and (bx.is_leaf or by.is_leaf):
-                    raise ValueError(
-                        "the one-leaf tree is a unit for star only, "
-                        "not an argument of prec/succ/mid"
-                    )
-                out = out + (cx * cy) * tree_fn(bx, by)
-        return out
+        # a leaf is rejected whenever it would meet a partner
+        if not allow_leaf and xs and ys and any(
+            b.is_leaf for b in (*xs.support(), *ys.support())
+        ):
+            raise ValueError(
+                "the one-leaf tree is a unit for star only, "
+                "not an argument of prec/succ/mid"
+            )
+        return LinComb(
+            (t, cx * cy * c)
+            for bx, cx in xs
+            for by, cy in ys
+            for t, c in tree_fn(bx, by)
+        )
 
     return op
 

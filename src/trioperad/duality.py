@@ -21,7 +21,7 @@ import json
 from dataclasses import replace
 
 from .dendriform import DENDRIFORM_SCHEME
-from .linear import orthogonal_complement, rank
+from .linear import rank
 from .relations import Scheme, relation_statement
 from .trialgebra import TRIALGEBRA_SCHEME
 
@@ -111,10 +111,18 @@ def _gram(convention) -> list[list[int]]:
     return [[w[i] if i == j else 0 for j in range(DIMENSION)] for i in range(DIMENSION)]
 
 
-def _spans_match(vectors_a, vectors_b) -> bool:
-    ra = rank(vectors_a)
-    rb = rank(vectors_b)
-    return ra == rb == rank(list(vectors_a) + list(vectors_b))
+def _complement_matches(tri_vecs, dend_vecs, convention) -> bool:
+    """span(dend_vecs) is the whole annihilator of span(tri_vecs).
+
+    The annihilator is the kernel of tri_vecs . G (G the diagonal Gram
+    matrix of slot weights), of dimension 18 - rank(tri_vecs . G).  A span
+    that pairs to zero against tri_vecs and has that dimension is it.
+    """
+    w = _slot_weights(convention)
+    weighted = [[wi * v for wi, v in zip(w, vec)] for vec in tri_vecs]
+    pairing = _pairing_matrix(tri_vecs, dend_vecs, convention)
+    orthogonal = all(v == 0 for row in pairing for v in row)
+    return orthogonal and rank(dend_vecs) == DIMENSION - rank(weighted)
 
 
 def _associative_diagonal_report(tri_vecs, dend_vecs) -> dict:
@@ -166,8 +174,8 @@ def certify_duality() -> dict:
         matrix = _pairing_matrix(tri_vecs, dend_vecs, chosen)
     orthogonal = all(v == 0 for row in matrix for v in row)
 
-    comp = orthogonal_complement(tri_vecs, _gram(chosen))
-    complement_matches = _spans_match([list(b) for b in comp.basis], dend_vecs)
+    complement_matches = _complement_matches(tri_vecs, dend_vecs, chosen)
+    nondegenerate = rank(_gram(chosen)) == DIMENSION
 
     # negative control: a perturbed relation must pair nonzero somewhere
     perturbed_vecs = relation_vectors(negative_control_scheme())
@@ -182,7 +190,7 @@ def certify_duality() -> dict:
         and rank_dend == 7
         and rank_tri + rank_dend == DIMENSION
         and complement_matches
-        and comp.pairing_nondegenerate
+        and nondegenerate
         and control_breaks
         and diagonal["passed"]
     )
@@ -196,7 +204,7 @@ def certify_duality() -> dict:
         "orthogonal": orthogonal,
         "pairing_matrix": matrix,
         "pairing_matrix_sha256": hashlib.sha256(blob).hexdigest(),
-        "pairing_nondegenerate": comp.pairing_nondegenerate,
+        "pairing_nondegenerate": nondegenerate,
         "complement_matches": complement_matches,
         "negative_control_breaks": control_breaks,
         "associative_diagonal": diagonal,

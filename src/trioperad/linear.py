@@ -1,14 +1,16 @@
-"""Exact rational linear algebra: linear combinations, rank, complements.
+"""Exact linear algebra: linear combinations and rank.
 
-Everything is exact: coefficients are ``fractions.Fraction`` (or ints),
-elimination is fraction-free (integer cross-multiplication with per-row
-gcd reduction after clearing denominators), pivoting is deterministic.
-No floating point anywhere.
+Every coefficient the operads produce is an integer, and ``LinComb``
+stores coefficients as given, so products, boundaries and relation
+checks run on plain ints.  ``Fraction`` enters only at the edge, through
+a non-integer user scalar.  ``rank`` is the one elimination engine:
+fraction-free (integer cross-multiplication with per-row gcd reduction
+after clearing denominators) with deterministic pivoting.  The package
+never produces a float.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Hashable, Iterable, Mapping
@@ -25,7 +27,8 @@ class LinComb:
     """Immutable linear combination of hashable basis elements.
 
     Supports +, -, unary -, scalar multiplication, and iteration over
-    (basis, coefficient) pairs.  Zero coefficients are dropped.
+    (basis, coefficient) pairs.  Zero coefficients are dropped; the others
+    are stored as given (ints stay ints).
     """
 
     __slots__ = ("_terms",)
@@ -35,7 +38,7 @@ class LinComb:
         if terms is not None:
             items = terms.items() if isinstance(terms, Mapping) else terms
             for basis, coeff in items:
-                c = d.get(basis, 0) + Fraction(coeff)
+                c = d.get(basis, 0) + coeff
                 if c:
                     d[basis] = c
                 elif basis in d:
@@ -46,15 +49,11 @@ class LinComb:
     def single(cls, basis: Hashable, coeff=1) -> "LinComb":
         return cls([(basis, coeff)])
 
-    @classmethod
-    def zero(cls) -> "LinComb":
-        return cls()
-
     def items(self):
         return self._terms.items()
 
-    def coeff(self, basis: Hashable) -> Fraction:
-        return self._terms.get(basis, Fraction(0))
+    def coeff(self, basis: Hashable):
+        return self._terms.get(basis, 0)
 
     def support(self):
         return self._terms.keys()
@@ -87,7 +86,9 @@ class LinComb:
         return out
 
     def __rmul__(self, scalar) -> "LinComb":
-        s = Fraction(scalar)
+        # the user-scalar edge: ints stay exact ints, anything else
+        # (0.5 included) becomes the exact Fraction it denotes
+        s = scalar if isinstance(scalar, int) else Fraction(scalar)
         if not s:
             return LinComb()
         out = LinComb()
@@ -203,102 +204,3 @@ def rank(rows: Iterable) -> int:
             active[i] = new
         active = [r for r in active if r]
     return rk
-
-
-# =====================================================================
-# dense reduced row echelon form, kernels, complements
-# =====================================================================
-
-
-@dataclass
-class RatMatrix:
-    """Dense matrix of Fractions; small exact workhorse."""
-
-    rows: list[list[Fraction]]
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Iterable]) -> "RatMatrix":
-        return cls([[Fraction(v) for v in row] for row in rows])
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
-
-    def rank(self) -> int:
-        return rank(self.rows)
-
-    def rref(self) -> tuple["RatMatrix", list[int]]:
-        """Reduced row echelon form and the pivot columns."""
-        rows = [list(r) for r in self.rows]
-        pivots: list[int] = []
-        r = 0
-        for c in range(self.ncols):
-            sel = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-            if sel is None:
-                continue
-            rows[r], rows[sel] = rows[sel], rows[r]
-            pv = rows[r][c]
-            rows[r] = [v / pv for v in rows[r]]
-            for i in range(len(rows)):
-                if i != r and rows[i][c]:
-                    f = rows[i][c]
-                    rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-            pivots.append(c)
-            r += 1
-            if r == len(rows):
-                break
-        return RatMatrix(rows), pivots
-
-
-def kernel_basis(mat: RatMatrix) -> list[list[Fraction]]:
-    """Basis of {x : M x = 0}, one vector per free column of the RREF."""
-    if not mat.rows:
-        return []
-    red, pivots = mat.rref()
-    ncols = mat.ncols
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -red.rows[r][free]
-        basis.append(vec)
-    return basis
-
-
-@dataclass(frozen=True)
-class Complement:
-    basis: tuple[tuple[Fraction, ...], ...]
-    pairing_nondegenerate: bool
-
-
-def orthogonal_complement(vectors: list[list], gram: list[list]) -> Complement:
-    """Everything pairing to zero against span(vectors).
-
-    ``gram[i][j]`` is the pairing of the i-th basis vector of the left
-    space against the j-th of the right space; the complement lives in the
-    right space.  A degenerate pairing is reported in the result, not an
-    error.
-    """
-    g = RatMatrix.from_rows(gram)
-    nondeg = g.nrows == g.ncols and g.rank() == g.nrows
-    if not vectors:
-        dim = g.ncols
-        eye = [[Fraction(i == j) for j in range(dim)] for i in range(dim)]
-        return Complement(tuple(tuple(r) for r in eye), nondeg)
-    constraints = []
-    for v in vectors:
-        row = [
-            sum(Fraction(v[i]) * Fraction(gram[i][j]) for i in range(len(v)))
-            for j in range(g.ncols)
-        ]
-        constraints.append(row)
-    basis = kernel_basis(RatMatrix.from_rows(constraints))
-    return Complement(tuple(tuple(b) for b in basis), nondeg)

@@ -208,11 +208,9 @@ def boundary_cell(x: SubsetCell) -> LinComb:
 
 
 def boundary(x) -> LinComb:
-    lin = as_lincomb(x)
-    out = LinComb()
-    for cell, coeff in lin:
-        out = out + coeff * boundary_cell(cell)
-    return out
+    return LinComb(
+        (b, coeff * c) for cell, coeff in as_lincomb(x) for b, c in boundary_cell(cell)
+    )
 
 
 def _sign(k: int) -> int:

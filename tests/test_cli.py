@@ -172,6 +172,15 @@ def test_complex_bad_report_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("report", [",", "", " , "])
+def test_complex_empty_report_exits_2(capsys, report):
+    code = run(["complex", "build", "--family", "tree", "--weight", "1", "--report", report])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "dims,d2,betti" in captured.err
+
+
 # ----------------------------------------------------------------- series
 
 
@@ -198,6 +207,16 @@ def test_series_csv(capsys):
     assert code == 0
     assert len(out) == 4
     assert out[1].startswith("1,")
+
+
+@pytest.mark.parametrize("value", ["abc", "1/0"])
+def test_series_bad_t_eval_exits_2(capsys, value):
+    code = run(["series", "--family", "delta", "--order", "2", "--t-eval", value])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "2, -3 or 1/2" in captured.err
+    assert repr(value) in captured.err
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "text"])

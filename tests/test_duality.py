@@ -6,11 +6,14 @@ from trioperad.duality import (
     DEND_GENERATORS,
     DIMENSION,
     TRI_GENERATORS,
+    _complement_matches,
     basis_index,
     basis_labels,
     certify_duality,
     dendriform_relation_vectors,
     duality_pairing,
+    negative_control_scheme,
+    relation_vectors,
     trialgebra_relation_vectors,
 )
 from trioperad.linear import rank
@@ -92,3 +95,26 @@ def test_relation_statements_listed():
     assert len(cert["dendriform_relations"]) == 7
     assert cert["trialgebra_relations"][0] == "(x left y) left z = x left (y left z)"
     assert cert["dendriform_relations"][0] == "(x prec y) prec z = x prec (y star z)"
+
+
+# ------------------------------------------------------------ complement
+
+
+def test_complement_matches_the_two_schemes():
+    tri = trialgebra_relation_vectors()
+    dend = dendriform_relation_vectors()
+    assert _complement_matches(tri, dend, (1, -1))
+
+
+def test_complement_rejects_a_dropped_dendriform_vector():
+    # still orthogonal, but rank 6 falls short of 18 - 11
+    tri = trialgebra_relation_vectors()
+    dend = dendriform_relation_vectors()[:-1]
+    assert rank(dend) == 6
+    assert all(duality_pairing(u, v) == 0 for u in tri for v in dend)
+    assert not _complement_matches(tri, dend, (1, -1))
+
+
+def test_complement_rejects_the_negative_control():
+    perturbed = relation_vectors(negative_control_scheme())
+    assert not _complement_matches(perturbed, dendriform_relation_vectors(), (1, -1))

@@ -1,0 +1,88 @@
+"""Integer coefficients and bilinearity of every product and boundary."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from trioperad.cells import enumerate_planar_trees, enumerate_subset_cells
+from trioperad.dendriform import mid as dend_mid
+from trioperad.dendriform import prec, star, star_power, succ
+from trioperad.linear import LinComb
+from trioperad.trialgebra import boundary, tri_left, tri_mid, tri_right
+
+TREES = [t for n in range(2, 5) for t in enumerate_planar_trees(n)]
+CELLS = [c for n in range(1, 4) for c in enumerate_subset_cells(n)]
+
+TREE_OPS = {"prec": prec, "succ": succ, "mid": dend_mid, "star": star}
+CELL_OPS = {"left": tri_left, "right": tri_right, "mid": tri_mid}
+ALL_OPS = [(TREES, op) for op in TREE_OPS.values()] + [
+    (CELLS, op) for op in CELL_OPS.values()
+]
+ALL_IDS = [f"tree-{n}" for n in TREE_OPS] + [f"cell-{n}" for n in CELL_OPS]
+
+PROPERTY_SETTINGS = settings(
+    derandomize=True, database=None, max_examples=30, deadline=None
+)
+
+
+def _combination(basis, terms, seed):
+    return LinComb(
+        (basis[(seed * 7 + 3 * k) % len(basis)], (-1) ** k * (k + 1)) for k in range(terms)
+    )
+
+
+def _ints_only(lin: LinComb) -> bool:
+    return all(type(c) is int for _, c in lin)
+
+
+@pytest.mark.parametrize("basis, op", ALL_OPS, ids=ALL_IDS)
+def test_products_of_integer_inputs_have_int_coefficients(basis, op):
+    for seed in range(6):
+        u = _combination(basis, 3, seed)
+        v = _combination(basis, 2, seed + 1)
+        out = op(u, v)
+        assert out
+        assert _ints_only(out)
+
+
+def test_boundary_and_star_power_have_int_coefficients():
+    for seed in range(6):
+        out = boundary(_combination(CELLS, 3, seed))
+        assert _ints_only(out)
+    assert boundary(_combination(CELLS, 3, 5))
+    assert _ints_only(star_power(4))
+
+
+def _lincombs(basis):
+    return st.lists(
+        st.tuples(st.sampled_from(basis), st.integers(-3, 3)), max_size=3
+    ).map(LinComb)
+
+
+SCALARS = st.one_of(
+    st.integers(-4, 4),
+    st.fractions(min_value=-2, max_value=2, max_denominator=5),
+)
+
+
+@pytest.mark.parametrize("op", TREE_OPS.values(), ids=TREE_OPS.keys())
+@PROPERTY_SETTINGS
+@given(a=SCALARS, u=_lincombs(TREES), v=_lincombs(TREES), w=_lincombs(TREES))
+def test_tree_products_are_bilinear(op, a, u, v, w):
+    assert op(a * u + v, w) == a * op(u, w) + op(v, w)
+    assert op(w, a * u + v) == a * op(w, u) + op(w, v)
+
+
+@pytest.mark.parametrize("op", CELL_OPS.values(), ids=CELL_OPS.keys())
+@PROPERTY_SETTINGS
+@given(a=SCALARS, u=_lincombs(CELLS), v=_lincombs(CELLS), w=_lincombs(CELLS))
+def test_cell_products_are_bilinear(op, a, u, v, w):
+    assert op(a * u + v, w) == a * op(u, w) + op(v, w)
+    assert op(w, a * u + v) == a * op(w, u) + op(w, v)
+
+
+@PROPERTY_SETTINGS
+@given(a=SCALARS, u=_lincombs(CELLS), v=_lincombs(CELLS))
+def test_boundary_is_linear(a, u, v):
+    assert boundary(a * u + v) == a * boundary(u) + boundary(v)
+

@@ -4,6 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+from trioperad.cells import (
+    enumerate_cube_cells,
+    enumerate_planar_trees,
+    enumerate_subset_cells,
+)
 from trioperad.series import (
     TPoly,
     TSeries,
@@ -170,6 +175,24 @@ def test_stasheff_counts_at_corners():
     at1 = [abs(v) for v in fk.evaluate_t(Fraction(1))[1:]]
     assert at0 == [1, 2, 5, 14, 42, 132, 429, 1430]  # Catalan C_1..C_8
     assert at1 == [1, 3, 11, 45, 197, 903, 4279, 20793]  # super-Catalan
+
+
+@pytest.mark.parametrize(
+    "maker, cells_of_arity",
+    [
+        (f_delta, enumerate_subset_cells),
+        (f_stasheff, lambda n: enumerate_planar_trees(n + 1)),
+        (f_cube, enumerate_cube_cells),
+    ],
+)
+def test_series_match_enumerated_cells(maker, cells_of_arity):
+    # [x^n] is (-1)^n times the degree polynomial of the arity-n cells
+    fs = maker(7)
+    for n in range(1, 8):
+        counts = [0] * n
+        for cell in cells_of_arity(n):
+            counts[cell.degree] += 1
+        assert fs.coeffs[n] == TPoly(counts) * (-1) ** n, n
 
 
 def test_full_report():
