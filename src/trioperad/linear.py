@@ -5,15 +5,19 @@ stores coefficients as given, so products, boundaries and relation
 checks run on plain ints.  ``Fraction`` enters only at the edge, through
 a non-integer user scalar.  ``rank`` is the one elimination engine:
 fraction-free (integer cross-multiplication with per-row gcd reduction
-after clearing denominators) with deterministic pivoting.  The package
-never produces a float.
+after clearing denominators) with deterministic pivoting.  The pivot row
+is the shortest active row, taken from a length heap; the pivot column
+is its column held by the fewest rows; a column index finds the rows to
+eliminate, so no step scans all active rows.  Entries must be ``int`` or
+``Fraction``; the package never produces a float.
 """
 
 from __future__ import annotations
 
+from collections.abc import Hashable, Iterable, Mapping
 from fractions import Fraction
-from math import gcd
-from typing import Hashable, Iterable, Mapping
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 
 Rational = Fraction
 
@@ -137,21 +141,30 @@ def as_lincomb(x) -> LinComb:
 
 
 def _integer_row(row) -> dict[int, int]:
-    """Clear denominators and divide by the content; row scaling keeps rank."""
-    if isinstance(row, Mapping):
-        items = [(int(c), v) for c, v in row.items() if v]
-    else:
-        items = [(c, v) for c, v in enumerate(row) if v]
-    if not items:
-        return {}
+    """Clear denominators and divide by the content; row scaling keeps rank.
+
+    Entries must be ``int`` or ``Fraction``; anything else (a float
+    included) raises ``TypeError``.  Entries that are zero after clearing
+    are dropped.
+    """
+    items = row.items() if isinstance(row, Mapping) else enumerate(row)
+    entries = []
     denom = 1
-    for _, v in items:
+    for c, v in items:
         if isinstance(v, Fraction):
-            denom = denom * v.denominator // gcd(denom, v.denominator)
-    ints = {c: int(v * denom) for c, v in items}
+            denom = lcm(denom, v.denominator)
+        elif not isinstance(v, int):
+            raise TypeError(
+                f"rank entries must be int or Fraction, got {type(v).__name__} {v!r}"
+            )
+        entries.append((int(c), v))
+    ints = {}
     g = 0
-    for v in ints.values():
-        g = gcd(g, v)
+    for c, v in entries:
+        w = int(v * denom)
+        if w:
+            ints[c] = w
+            g = gcd(g, w)
     if g > 1:
         ints = {c: v // g for c, v in ints.items()}
     return ints
@@ -163,30 +176,42 @@ def rank(rows: Iterable) -> int:
     Rows may be dense sequences or sparse {column: coefficient} mappings
     with int or Fraction entries.  Fraction-free: rows are cleared to
     integers, elimination uses cross-multiplication, and every updated row
-    is reduced by its gcd to control growth.  Pivot choice is deterministic
-    (sparsest row first, then lowest column).
+    is reduced by its gcd to control growth.
+
+    Pivot choice is deterministic and no step scans all active rows.  The
+    pivot row is the shortest active row (lowest row id on ties), taken
+    from a heap of (length, row id) entries; an entry whose row is gone or
+    has changed length is skipped.  The pivot column is the pivot row's
+    column held by the fewest active rows, then the lowest column.  A
+    column index (column -> ids of the active rows holding it) gives those
+    counts and the rows to eliminate; each update changes it only for the
+    columns a row loses or gains.
     """
-    active = [r for r in (_integer_row(row) for row in rows) if r]
-    col_count: dict[int, int] = {}
-    for r in active:
-        for c in r:
-            col_count[c] = col_count.get(c, 0) + 1
+    active: dict[int, dict[int, int]] = {}
+    cols: dict[int, set[int]] = {}
+    for rid, row in enumerate(rows):
+        r = _integer_row(row)
+        if r:
+            active[rid] = r
+            for c in r:
+                cols.setdefault(c, set()).add(rid)
+    heap = [(len(r), rid) for rid, r in active.items()]
+    heapify(heap)
     rk = 0
-    while active:
-        # deterministic Markowitz-flavored pivot: fewest entries, then col
-        pi = min(range(len(active)), key=lambda i: (len(active[i]), min(active[i])))
-        pivot_row = active.pop(pi)
-        pc = min(pivot_row, key=lambda c: (col_count[c], c))
+    while heap:
+        length, pid = heappop(heap)
+        pivot_row = active.get(pid)
+        if pivot_row is None or len(pivot_row) != length:
+            continue
+        del active[pid]
+        pc = min(pivot_row, key=lambda c: (len(cols[c]), c))
         pv = pivot_row[pc]
         rk += 1
         for c in pivot_row:
-            col_count[c] -= 1
-        for i, r in enumerate(active):
-            if pc not in r:
-                continue
+            cols[c].discard(pid)
+        for rid in sorted(cols[pc]):
+            r = active[rid]
             rv = r[pc]
-            for c in r:
-                col_count[c] -= 1
             new = {}
             # union of supports: fill-in appears where only the pivot row
             # has an entry
@@ -199,8 +224,13 @@ def rank(rows: Iterable) -> int:
                 g = gcd(g, v)
             if g > 1:
                 new = {c: v // g for c, v in new.items()}
-            for c in new:
-                col_count[c] = col_count.get(c, 0) + 1
-            active[i] = new
-        active = [r for r in active if r]
+            for c in r.keys() - new.keys():
+                cols[c].discard(rid)
+            for c in new.keys() - r.keys():
+                cols.setdefault(c, set()).add(rid)
+            if new:
+                active[rid] = new
+                heappush(heap, (len(new), rid))
+            else:
+                del active[rid]
     return rk

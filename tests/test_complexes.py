@@ -132,6 +132,19 @@ def test_d_squared_and_betti_through_weight_four(family):
         assert homology_ranks(gc)["betti"] == expected_betti(w)
 
 
+@pytest.mark.parametrize(
+    "family,ranks",
+    [
+        (SIMPLEX_FAMILY, {2: 903, 3: 1452, 4: 1068, 5: 402, 6: 63}),
+        (TREE_FAMILY, {2: 63, 3: 540, 4: 1638, 5: 2052, 6: 903}),
+    ],
+)
+def test_homology_weight_six_pinned(family, ranks):
+    hom = homology_ranks(build_complex(family, 6))
+    assert hom["ranks"] == {1: 0, **ranks}
+    assert hom["betti"] == expected_betti(6)
+
+
 def test_differential_preserves_weight_and_drops_level():
     gc = build_complex(SIMPLEX_FAMILY, 3)
     for n, rows in gc.diff.items():

@@ -92,6 +92,14 @@ def test_rank_known_matrices():
     assert rank([{0: 1, 1: 1}, {0: 2, 1: 2}]) == 1
     assert rank([[1, 2], [2, 4], [1, 0]]) == 2
     assert rank([[Fraction(1, 2), Fraction(1, 3)]]) == 1
+    assert rank([{0: 0}, [0, 0], [Fraction(0), 0]]) == 0
+    assert rank([{0: 0, 1: 2}, {1: Fraction(-1, 3)}]) == 1
+
+
+def test_rank_rejects_float_entries():
+    for rows in ([[0.5, 0.5], [1, 2]], [{0: 0.5}], [[1, 2.0]]):
+        with pytest.raises(TypeError, match="int or Fraction"):
+            rank(rows)
 
 
 def test_rank_fill_in_regression():
@@ -114,4 +122,36 @@ def test_rank_fuzz_against_independent_referee():
             }
             rows.append({k: v for k, v in row.items() if v})
         dense = [[rows[i].get(j, Fraction(0)) for j in range(n)] for i in range(m)]
+        assert rank(rows) == naive_dense_rank(dense)
+
+
+def test_rank_fuzz_dependent_rows_against_independent_referee():
+    # larger, sparser integer matrices with duplicate rows and sums of
+    # rows, so that rows cancel to empty mid-elimination and change
+    # length between pivots
+    rng = random.Random(11)
+    for _ in range(150):
+        m = rng.randint(2, 30)
+        n = rng.randint(1, 30)
+        density = rng.uniform(0.1, 0.4)
+        rows = []
+        for _ in range(m):
+            pick = rng.random()
+            if rows and pick < 0.2:
+                rows.append(dict(rng.choice(rows)))
+            elif len(rows) > 1 and pick < 0.4:
+                a, b = rng.sample(rows, 2)
+                s = rng.choice((-1, 1))
+                row = {j: a.get(j, 0) + s * b.get(j, 0) for j in a.keys() | b.keys()}
+                rows.append({j: v for j, v in row.items() if v})
+            else:
+                rows.append(
+                    {
+                        j: rng.choice((-1, 1)) * rng.randint(1, 3)
+                        for j in range(n)
+                        if rng.random() < density
+                    }
+                )
+        rng.shuffle(rows)
+        dense = [[row.get(j, 0) for j in range(n)] for row in rows]
         assert rank(rows) == naive_dense_rank(dense)
