@@ -48,7 +48,7 @@ from .dendriform import (
     succ,
 )
 from .duality import certify_duality, duality_pairing
-from .linear import LinComb, Rational, rank
+from .linear import LinComb, rank
 from .relations import Scheme, check_scheme, relation_statement
 from .series import TPoly, TSeries, f_cube, f_delta, f_stasheff, series_identities_report
 from .trialgebra import (
@@ -75,7 +75,6 @@ __all__ = [
     "LinComb",
     "OPERAD_UNIT",
     "PlanarTree",
-    "Rational",
     "SIMPLEX_FAMILY",
     "Scheme",
     "SubsetCell",

@@ -51,14 +51,6 @@ class SubsetCell:
     def degree(self) -> int:
         return len(self.elements) - 1
 
-    @property
-    def bitmask(self) -> int:
-        return sum(1 << (e - 1) for e in self.elements)
-
-    def shifted(self, offset: int, arity: int) -> "SubsetCell":
-        """Same subset pushed up by ``offset`` inside a larger vertex set."""
-        return SubsetCell(arity, tuple(e + offset for e in self.elements))
-
     def literal(self) -> str:
         return "{" + ",".join(str(e) for e in self.elements) + "}@" + str(self.arity)
 

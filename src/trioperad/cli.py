@@ -60,7 +60,29 @@ def _degree_counts(items) -> dict[int, int]:
     return by_degree
 
 
+# The most cells `cells` enumerates.  Every family has at least 2^(n-1)
+# cells at arity n, so an arity past the cap's bit length is refused
+# before any count is computed.
+CELLS_CAP = 10**6
+
+
+def _cell_count(family: str, arity: int) -> int:
+    """The number of cells at this arity, from the closed forms."""
+    if family == "subset":
+        return 2**arity - 1
+    if family == "tree":
+        return series_mod.super_catalan_numbers(arity)[-1]
+    return 3 ** (arity - 1)
+
+
 def _cells_for(family: str, arity: int):
+    if arity < 1:
+        raise ValueError(f"--arity must be >= 1, got {arity}")
+    if arity - 1 >= CELLS_CAP.bit_length() or _cell_count(family, arity) > CELLS_CAP:
+        raise ValueError(
+            f"--family {family} --arity {arity} has more than "
+            f"CELLS_CAP = {CELLS_CAP} cells; use a smaller --arity"
+        )
     if family == "subset":
         return cells_mod.enumerate_subset_cells(arity)
     if family == "tree":
@@ -222,33 +244,24 @@ def _cmd_series(args) -> int:
 
 
 def _dimensions_report() -> dict:
-    """Free-algebra dimension bookkeeping against the closed forms."""
-    tri_ok = True
-    for n in range(1, 11):
-        items = cells_mod.enumerate_subset_cells(n)
-        by_degree = _degree_counts(items)
-        # ((1+t)^n - 1)/t has t^d coefficient binom(n, d+1)
-        expected_poly = (TPoly.one_plus_t_power(n) - TPoly.const(1)).divexact(TPoly.t())
-        got_poly = TPoly(
-            tuple(by_degree.get(d, 0) for d in range(max(by_degree) + 1))
-        )
-        if len(items) != 2**n - 1 or got_poly != expected_poly:
-            tri_ok = False
-    dend_expected = {2: 1, 3: 3, 4: 11, 5: 45, 6: 197}
-    dend_ok = all(
-        len(cells_mod.enumerate_planar_trees(leaves)) == want
-        for leaves, want in dend_expected.items()
-    )
-    cube_ok = True
-    for n in range(1, 7):
-        items = cells_mod.enumerate_cube_cells(n)
-        by_degree = _degree_counts(items)
-        poly = TPoly(tuple(by_degree.get(d, 0) for d in range(n)))
-        expected = TPoly.const(1)
-        for _ in range(n - 1):
-            expected = expected * TPoly((2, 1))
-        if len(items) != 3 ** (n - 1) or poly != expected:
-            cube_ok = False
+    """The enumerated cells against the counting series: at arity n the
+    degree polynomial of a family's cells is (-1)^n [x^n] of its series
+    (subset cells and f_delta, planar trees with n + 1 leaves and
+    f_stasheff, cube cells and f_cube)."""
+
+    def matches(family: str, series, top: int) -> bool:
+        fs = series(top)
+        for n in range(1, top + 1):
+            by_degree = _degree_counts(_cells_for(family, n))
+            top_degree = max(by_degree, default=0)
+            poly = TPoly([by_degree.get(d, 0) for d in range(top_degree + 1)])
+            if fs.coeffs[n] != poly * (-1) ** n:
+                return False
+        return True
+
+    tri_ok = matches("subset", series_mod.f_delta, 10)
+    dend_ok = matches("tree", series_mod.f_stasheff, 5)
+    cube_ok = matches("cube", series_mod.f_cube, 6)
     return {
         "passed": tri_ok and dend_ok and cube_ok,
         "trialgebra_dims_match": tri_ok,

@@ -38,15 +38,6 @@ def basis_index(slot: int, outer: int, inner: int) -> int:
     return (slot - 1) * 9 + outer * 3 + inner
 
 
-def basis_labels(generators: tuple[str, str, str]) -> list[str]:
-    out = []
-    for slot in (1, 2):
-        for outer in generators:
-            for inner in generators:
-                out.append(f"({outer} o{slot} {inner})")
-    return out
-
-
 def _relation_vector(scheme: Scheme, rel) -> list[int]:
     """(x a y) b z - x c (y d z) as a weight-2 vector.
 

@@ -19,8 +19,6 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
-Rational = Fraction
-
 
 # =====================================================================
 # linear combinations
@@ -64,10 +62,6 @@ class LinComb:
 
     def is_zero(self) -> bool:
         return not self._terms
-
-    def map_basis(self, fn) -> "LinComb":
-        """Apply fn to every basis element (collecting collisions)."""
-        return LinComb((fn(b), c) for b, c in self._terms.items())
 
     def __add__(self, other: "LinComb") -> "LinComb":
         d = dict(self._terms)

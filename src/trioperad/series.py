@@ -4,9 +4,9 @@
 truncated power series in x whose coefficients are TPolys.  Everything is
 exact.  Coefficients are stored as ``int`` and become ``Fraction`` only
 where a value is truly non-integral (a rational scalar, evaluation at a
-rational t, a general ``reciprocal``/``sqrt``/``invert``).  Every
-coefficient of the three cell-counting series is an integer, so building
-them, composing them and inverting them runs on integers alone.
+rational t, a general ``reciprocal``/``invert``).  Every coefficient of
+the three cell-counting series is an integer, so building them,
+composing them and inverting them runs on integers alone.
 
 The three cell-counting series:
 
@@ -70,10 +70,6 @@ class TPoly:
     def t(cls) -> "TPoly":
         return cls((0, 1))
 
-    @classmethod
-    def one_plus_t_power(cls, n: int) -> "TPoly":
-        return cls(tuple(comb(n, k) for k in range(n + 1)))
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -104,22 +100,6 @@ class TPoly:
         return TPoly(out)
 
     __rmul__ = __mul__
-
-    def divexact(self, other: "TPoly") -> "TPoly":
-        """Exact polynomial division; raises if the remainder is nonzero."""
-        if other.is_zero():
-            raise ZeroDivisionError("division by the zero polynomial")
-        rem = list(self.coeffs)
-        dn = other.coeffs
-        q = [0] * max(len(rem) - len(dn) + 1, 0)
-        for i in range(len(rem) - len(dn), -1, -1):
-            c = _exact(Fraction(rem[i + len(dn) - 1]) / dn[-1])
-            q[i] = c
-            for j, d in enumerate(dn):
-                rem[i + j] -= c * d
-        if any(rem):
-            raise ValueError(f"inexact polynomial division: {self} by {other}")
-        return TPoly(q)
 
     def evaluate(self, q):
         """The value at t = q, exact: an int when q and the value are
@@ -201,14 +181,6 @@ class TSeries:
         if self.order != other.order:
             raise ValueError("truncation orders differ")
 
-    def __add__(self, other: "TSeries") -> "TSeries":
-        self._check(other)
-        return TSeries(self.order, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "TSeries") -> "TSeries":
-        self._check(other)
-        return TSeries(self.order, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
     def __neg__(self) -> "TSeries":
         return TSeries(self.order, tuple(-a for a in self.coeffs))
 
@@ -232,12 +204,6 @@ class TSeries:
         """Multiply by x."""
         return TSeries(self.order, (_ZERO,) + self.coeffs[:-1])
 
-    def shift_down(self) -> "TSeries":
-        """Divide by x; requires a zero constant term, drops the top order."""
-        if not self.coeffs[0].is_zero():
-            raise ValueError("cannot divide by x: nonzero constant term")
-        return TSeries(self.order - 1, self.coeffs[1:])
-
     def reciprocal(self) -> "TSeries":
         """Multiplicative inverse; the constant term must be a nonzero
         rational constant (degree-0 TPoly)."""
@@ -253,19 +219,6 @@ class TSeries:
                 _addmul(acc, a[k], out[n - k])
             out.append(_scaled(acc, -inv0))
         return TSeries._from_raw(self.order, out)
-
-    def sqrt(self) -> "TSeries":
-        """Square root with constant term 1, by the g^2 = self recurrence."""
-        if self.coeffs[0] != _ONE:
-            raise ValueError("sqrt needs constant term 1")
-        half = Fraction(1, 2)
-        out = [_ONE] + [_ZERO] * self.order
-        for n in range(1, self.order + 1):
-            acc = _ZERO
-            for i in range(1, n):
-                acc = acc + out[i] * out[n - i]
-            out[n] = (self.coeffs[n] - acc) * half
-        return TSeries(self.order, tuple(out))
 
     def compose(self, g: "TSeries") -> "TSeries":
         """self(g(x)); g must have no constant term.
@@ -409,8 +362,8 @@ def series_identities_report(order: int = 12) -> dict:
     x = TSeries.x(order)
 
     def poly_formula_delta(n: int) -> TPoly:
-        # (-1)^n ((1+t)^n - 1) / t
-        p = (TPoly.one_plus_t_power(n) - _ONE).divexact(TPoly.t())
+        # (-1)^n ((1+t)^n - 1) / t, whose t^d coefficient is binom(n, d+1)
+        p = TPoly(tuple(comb(n, d + 1) for d in range(n)))
         return p if n % 2 == 0 else -p
 
     def poly_formula_cube(n: int) -> TPoly:

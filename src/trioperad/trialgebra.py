@@ -319,8 +319,9 @@ def check_dg_rules(max_arity: int) -> dict:
                                 "rhs": str(rhs),
                             }
     by_name = {e["name"]: e for e in results}
+    signed_mid = {name: fn for name, _, fn in variants}["mid_koszul_signed"]
     gen = SubsetCell(1, (1,))
-    gen_lhs, gen_rhs = _dg_rule_variants()[2][2](gen, gen)
+    gen_lhs, gen_rhs = signed_mid(gen, gen)
     mid_variants = [e for e in results if "mid" in e["name"]]
     universal_mid = [e["name"] for e in mid_variants if e["holds"]]
     return {

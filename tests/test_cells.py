@@ -59,11 +59,6 @@ def test_subset_parse_errors_cite_grammar():
             parse_subset_cell(bad)
 
 
-def test_subset_shifted():
-    c = parse_subset_cell("{1,3}@3")
-    assert c.shifted(2, 6) == parse_subset_cell("{3,5}@6")
-
-
 def test_enumerate_subset_cells_pinned_order():
     assert [c.literal() for c in enumerate_subset_cells(2)] == [
         "{1}@2",

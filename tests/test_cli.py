@@ -6,7 +6,13 @@ import sys
 
 import pytest
 
-from trioperad.cli import certify_all, run
+from trioperad import cells as cells_mod
+from trioperad import series as series_mod
+from trioperad.cli import CELLS_CAP, _cells_for, _dimensions_report, certify_all, run
+from trioperad.series import TPoly, TSeries
+
+FAMILIES = ("subset", "tree", "cube")
+ENUMERATORS = ("enumerate_subset_cells", "enumerate_planar_trees", "enumerate_cube_cells")
 
 
 def run_json(capsys, argv):
@@ -39,6 +45,102 @@ def test_cells_cube_csv(capsys):
     assert code == 0
     assert out[0] == "cell,degree"
     assert len(out) == 4
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("arity", ["0", "-1"])
+def test_cells_arity_below_one_exits_2(capsys, family, arity):
+    code = run(["cells", "--family", family, "--arity", arity])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"--arity must be >= 1, got {arity}" in captured.err
+
+
+def _refuse_enumeration(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("enumeration started past the cap")
+
+    for name in ENUMERATORS:
+        monkeypatch.setattr(cells_mod, name, refuse)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("arity", [40, 10**6])
+def test_cells_over_cap_exits_2(capsys, monkeypatch, family, arity):
+    _refuse_enumeration(monkeypatch)
+    code = run(["cells", "--family", family, "--arity", str(arity)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"CELLS_CAP = {CELLS_CAP}" in captured.err
+
+
+@pytest.mark.parametrize(
+    "family, largest, count",
+    # 2^19 - 1 subset cells, super-Catalan s_10 trees, 3^12 cube cells
+    [("subset", 19, 524287), ("tree", 10, 518859), ("cube", 13, 531441)],
+)
+def test_cells_cap_boundary(monkeypatch, family, largest, count):
+    assert count <= CELLS_CAP
+    started = []
+
+    def record(n):
+        started.append(n)
+        return []
+
+    for name in ENUMERATORS:
+        monkeypatch.setattr(cells_mod, name, record)
+    assert _cells_for(family, largest) == []
+    assert len(started) == 1
+    _refuse_enumeration(monkeypatch)
+    with pytest.raises(ValueError, match="CELLS_CAP"):
+        _cells_for(family, largest + 1)
+
+
+# ------------------------------------------------------------- dimensions
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda trees: trees[1:],
+        # same count, but a binary tree (degree 0) becomes the corolla
+        # (degree 3): only the degree polynomial sees it
+        lambda trees: trees[1:] + trees[-1:],
+    ],
+    ids=["dropped", "regraded"],
+)
+def test_dimensions_report_fails_on_wrong_trees(monkeypatch, mutate):
+    real = cells_mod.enumerate_planar_trees
+    monkeypatch.setattr(
+        cells_mod,
+        "enumerate_planar_trees",
+        lambda leaves: mutate(real(leaves)) if leaves == 5 else real(leaves),
+    )
+    assert _dimensions_report() == {
+        "passed": False,
+        "trialgebra_dims_match": True,
+        "dendriform_dims_match": False,
+        "cube_dims_match": True,
+    }
+
+
+def test_dimensions_report_fails_on_a_perturbed_series(monkeypatch):
+    real = series_mod.f_cube
+
+    def perturbed(order):
+        coeffs = list(real(order).coeffs)
+        coeffs[4] = coeffs[4] + TPoly.const(1)
+        return TSeries(order, coeffs)
+
+    monkeypatch.setattr(series_mod, "f_cube", perturbed)
+    assert _dimensions_report() == {
+        "passed": False,
+        "trialgebra_dims_match": True,
+        "dendriform_dims_match": True,
+        "cube_dims_match": False,
+    }
 
 
 # -------------------------------------------------------------------- tri

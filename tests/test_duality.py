@@ -3,12 +3,9 @@
 from fractions import Fraction
 
 from trioperad.duality import (
-    DEND_GENERATORS,
     DIMENSION,
-    TRI_GENERATORS,
     _complement_matches,
     basis_index,
-    basis_labels,
     certify_duality,
     dendriform_relation_vectors,
     duality_pairing,
@@ -32,8 +29,6 @@ def test_dimension_and_index():
     assert seen == set(range(18))
     assert basis_index(1, 0, 0) == 0
     assert basis_index(2, 2, 2) == 17
-    assert len(basis_labels(TRI_GENERATORS)) == 18
-    assert len(basis_labels(DEND_GENERATORS)) == 18
 
 
 def test_relation_vector_counts_and_ranks():

@@ -67,11 +67,6 @@ def test_lincomb_scalar_edge():
     assert u.coeff("c") == 0
 
 
-def test_lincomb_map_basis_collects():
-    v = LinComb([("a", 1), ("b", -1)])
-    assert v.map_basis(lambda _: "x") == LinComb()
-
-
 def test_lincomb_str():
     assert str(LinComb()) == "0"
     assert str(LinComb([("a", 1), ("b", -2)])) == "a - 2*b"

@@ -61,17 +61,6 @@ def test_tpoly_arithmetic():
     assert 2 * t == TPoly((0, 2))
 
 
-def test_tpoly_one_plus_t_power():
-    assert TPoly.one_plus_t_power(3) == TPoly((1, 3, 3, 1))
-
-
-def test_tpoly_divexact():
-    num = TPoly((0, 2, 1))  # 2t + t^2
-    assert num.divexact(TPoly.t()) == TPoly((2, 1))
-    with pytest.raises(ValueError):
-        TPoly((1, 1)).divexact(TPoly.t())
-
-
 def test_tpoly_evaluate():
     p = TPoly((1, 2, 1))
     assert p.evaluate(Fraction(0)) == 1
@@ -98,15 +87,6 @@ def test_tseries_reciprocal():
         TSeries.x(3).reciprocal()
 
 
-def test_tseries_sqrt():
-    # sqrt(1 + 2x + x^2) = 1 + x
-    s = TSeries(6, (TPoly.const(1), TPoly.const(2), TPoly.const(1)))
-    root = s.sqrt()
-    assert root.coeffs[0] == TPoly.const(1)
-    assert root.coeffs[1] == TPoly.const(1)
-    assert all(root.coeffs[n].is_zero() for n in range(2, 7))
-
-
 def test_tseries_compose_and_invert():
     # g = x/(1-x), its inverse is x/(1+x)
     order = 8
@@ -127,10 +107,6 @@ def test_tseries_shift():
     x = TSeries.x(4)
     up = x.shift_up()
     assert up.coeffs[2] == TPoly.const(1)
-    assert up.shift_down() == TSeries.x(3)  # shift_down drops the top order
-    const = TSeries(2, (TPoly.const(1),))
-    with pytest.raises(ValueError):
-        const.shift_down()
 
 
 # ------------------------------------------------------------ the series
