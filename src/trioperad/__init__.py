@@ -34,6 +34,7 @@ from .complexes import (
     expected_betti,
     face_convention_sweep,
     homology_ranks,
+    level_dims,
     simplex_convention_sweep,
 )
 from .dendriform import (
@@ -107,6 +108,7 @@ __all__ = [
     "graft",
     "homology_ranks",
     "leaf_orientation",
+    "level_dims",
     "parse_cube_cell",
     "parse_subset_cell",
     "parse_tree",

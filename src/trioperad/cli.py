@@ -60,9 +60,10 @@ def _degree_counts(items) -> dict[int, int]:
     return by_degree
 
 
-# The most cells `cells` enumerates.  Every family has at least 2^(n-1)
-# cells at arity n, so an arity past the cap's bit length is refused
-# before any count is computed.
+# The most cells `cells` enumerates, and the most basis elements
+# `complex build` assembles.  Every family has at least 2^(n-1) cells at
+# arity n, so an arity past the cap's bit length is refused before any
+# count is computed.
 CELLS_CAP = 10**6
 
 
@@ -88,6 +89,21 @@ def _cells_for(family: str, arity: int):
     if family == "tree":
         return cells_mod.enumerate_planar_trees(arity + 1)
     return cells_mod.enumerate_cube_cells(arity)
+
+
+def _check_complex_size(family: str, weight: int) -> None:
+    """Refuse a complex with more than CELLS_CAP basis elements.  Every
+    family has at least 6^(w-1) of them (the simplex family exactly), so
+    a weight past the cap's bit length is refused before any count."""
+    if (
+        weight - 1 >= CELLS_CAP.bit_length()
+        or 6 ** (weight - 1) > CELLS_CAP
+        or sum(complexes.level_dims(family, weight).values()) > CELLS_CAP
+    ):
+        raise ValueError(
+            f"--family {family} --weight {weight} has more than "
+            f"CELLS_CAP = {CELLS_CAP} basis elements; use a smaller --weight"
+        )
 
 
 # =====================================================================
@@ -174,6 +190,7 @@ def _cmd_complex_build(args) -> int:
         raise ValueError(f"unknown report sections {sorted(unknown)}; use dims,d2,betti")
     if not wanted:
         raise ValueError("empty report selection; use one or more of dims,d2,betti")
+    _check_complex_size(args.family, args.weight)
     gc = complexes.build_complex(args.family, args.weight)
     payload: dict = {"family": args.family, "weight": args.weight}
     ok = True

@@ -23,11 +23,35 @@ The leaf-index/orientation convention for the tree family is pinned by
 ``face_convention_sweep``, which rebuilds small complexes under every
 candidate convention and shows the pinned one is the only candidate with
 d^2 = 0 and the right homology.
+
+``build_complex`` assembles the boundary on integer ids; the one-element
+face maps ``face_map_simplex_coeff`` / ``face_map_tree_coeff`` define
+what it computes and serve as the reference in the tests.
+
+* Ids.  Level n is ordered by composition (w_1..w_n) of the weight, then
+  coefficient, then factor tuple in ``itertools.product`` order, so the
+  element (c; f_1..f_n) has the mixed-radix id
+  ``offset[comp] + c * P + sum_k f_k * stride_k``, where c and f_k are
+  positions in the coefficient and factor enumerations, P is the product
+  of the factor counts and stride_k the product of those after slot k.
+* Face tables.  Per coefficient and face i, computed once: the id of the
+  face coefficient (``collapse_vertex``, or ``remove_leaf`` of leaf
+  i + offset) and the product that merges factors i, i+1
+  (``simplex_face_product``, or the op of ``leaf_orientation``).
+* Product tables.  Per (product, w_i, w_{i+1}), computed once: the
+  product of every factor pair as (factor id, coefficient) terms.
+
+Face i of a block then sends the elements with factors a, b in slots i,
+i+1 to the product terms t, at fixed prefix and suffix of the other
+slots: a boundary row is index arithmetic, and no tuple of cells is
+hashed.  ``level_dims`` counts the same levels from the closed-form cell
+counts, without building them.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 from .cells import (
@@ -42,6 +66,7 @@ from .cells import (
 )
 from .dendriform import DEND_OPS
 from .linear import LinComb, rank
+from .series import super_catalan_numbers
 from .trialgebra import left_cell, mid_cell, right_cell
 
 SIMPLEX_FAMILY = "simplex"
@@ -156,50 +181,163 @@ def _arity_basis(family: str, n: int):
     return enumerate_planar_trees(n + 1)
 
 
-def _level_basis(family: str, weight: int, n: int) -> list:
-    coeffs = _arity_basis(family, n)
+def _dual(family: str) -> str:
     # factors come from the free algebra of the dual family
-    dual = TREE_FAMILY if family == SIMPLEX_FAMILY else SIMPLEX_FAMILY
-    out = []
-    for comp in compositions(weight, n):
-        factor_lists = [_arity_basis(dual, w) for w in comp]
-        for coeff_cell in coeffs:
-            for factors in itertools.product(*factor_lists):
-                out.append((coeff_cell, factors))
-    return out
+    return TREE_FAMILY if family == SIMPLEX_FAMILY else SIMPLEX_FAMILY
 
 
-def _boundary_of(family: str, elem, **face_kwargs) -> LinComb:
-    coeff_cell, factors = elem
-    face = face_map_simplex_coeff if family == SIMPLEX_FAMILY else face_map_tree_coeff
-    # d = -sum_i (-1)^i d_i
-    return LinComb(
-        (b, -((-1) ** i) * c)
-        for i in range(1, len(factors))
-        for b, c in face(i, coeff_cell, factors, **face_kwargs)
-    )
-
-
-def build_complex(family: str, weight: int, **face_kwargs) -> GradedComplex:
-    """Assemble bases and boundary matrices for weight ``weight`` and
-    verify d^2 = 0 across all levels."""
+def _check_family_weight(family: str, weight: int) -> None:
     if family not in (SIMPLEX_FAMILY, TREE_FAMILY):
         raise ValueError(f"unknown family {family!r}")
     if weight < 1:
         raise ValueError("weight must be >= 1")
+
+
+def _arity_counts(family: str, top: int) -> list[int]:
+    """|_arity_basis(family, n)| for n = 1..top, from the closed forms."""
+    if family == SIMPLEX_FAMILY:
+        return [2**n - 1 for n in range(1, top + 1)]
+    return super_catalan_numbers(top)
+
+
+def level_dims(family: str, weight: int) -> dict[int, int]:
+    """The level dimensions of ``build_complex(family, weight)``, counted
+    without building anything: level n has, summed over the compositions
+    of the weight, |coefficients of arity n| times the product of
+    |factors of weight w_k|."""
+    _check_family_weight(family, weight)
+    coeffs = _arity_counts(family, weight)
+    factors = _arity_counts(_dual(family), weight)
+    return {
+        n: coeffs[n - 1]
+        * sum(math.prod(factors[w - 1] for w in comp) for comp in compositions(weight, n))
+        for n in range(1, weight + 1)
+    }
+
+
+def _simplex_faces(coeffs, lower_ids, *, product_table=None):
+    """Per coefficient cell, per face i: (collapsed cell id, product)."""
+    return [
+        [
+            (
+                lower_ids[collapse_vertex(cell, i)],
+                DEND_OPS[simplex_face_product(i, cell, product_table)],
+            )
+            for i in range(1, cell.arity)
+        ]
+        for cell in coeffs
+    ]
+
+
+def _tree_faces(coeffs, lower_ids, *, leaf_offset=TREE_FACE_LEAF_OFFSET, orientation_ops=None):
+    """Per coefficient tree, per face i: (id of the tree without the
+    face's leaf, product read off that leaf's orientation)."""
+    ops = TREE_FACE_OPS if orientation_ops is None else orientation_ops
+    return [
+        [
+            (
+                lower_ids[remove_leaf(tree, i + leaf_offset)],
+                ops[leaf_orientation(tree, i + leaf_offset)],
+            )
+            for i in range(1, tree.leaves - 1)
+        ]
+        for tree in coeffs
+    ]
+
+
+def _factor_products(op, xs, ys, ids) -> list[list[tuple[int, int]]]:
+    """op(x, y) for every factor pair, row-major in (x, y), as lists of
+    (factor id, coefficient) terms."""
+    out = []
+    for x in xs:
+        for y in ys:
+            r = op(x, y)
+            terms = r if isinstance(r, LinComb) else ((r, 1),)
+            out.append([(ids[t], c) for t, c in terms])
+    return out
+
+
+def build_complex(family: str, weight: int, **face_kwargs) -> GradedComplex:
+    """Assemble bases and boundary matrices for weight ``weight`` and
+    verify d^2 = 0 across all levels.
+
+    ``face_kwargs`` are the convention overrides the sweeps try:
+    ``product_table`` for the simplex family, ``leaf_offset`` and
+    ``orientation_ops`` for the tree family."""
+    _check_family_weight(family, weight)
     gc = GradedComplex(family=family, weight=weight)
-    index: dict[int, dict] = {}
+    factors = {w: _arity_basis(_dual(family), w) for w in range(1, weight + 1)}
+    sizes = {w: len(fs) for w, fs in factors.items()}
+    coeffs: dict[int, list] = {}
+    blocks: dict[int, dict[tuple, int]] = {}
     for n in range(1, weight + 1):
-        basis = _level_basis(family, weight, n)
+        coeffs[n] = _arity_basis(family, n)
+        basis: list = []
+        blocks[n] = {}
+        for comp in compositions(weight, n):
+            blocks[n][comp] = len(basis)
+            tuples = list(itertools.product(*(factors[w] for w in comp)))
+            basis.extend((c, fs) for c in coeffs[n] for fs in tuples)
         gc.levels[n] = basis
-        index[n] = {elem: k for k, elem in enumerate(basis)}
+    face_table = _simplex_faces if family == SIMPLEX_FAMILY else _tree_faces
+    factor_ids = {w: {f: k for k, f in enumerate(fs)} for w, fs in factors.items()}
+    products: dict[tuple, list] = {}
+
+    def product_table(op, wa: int, wb: int) -> list:
+        key = (op, wa, wb)
+        if key not in products:
+            products[key] = _factor_products(
+                op, factors[wa], factors[wb], factor_ids[wa + wb]
+            )
+        return products[key]
+
     for n in range(2, weight + 1):
-        rows = []
-        for elem in gc.levels[n]:
-            image = _boundary_of(family, elem, **face_kwargs)
-            rows.append({index[n - 1][b]: c for b, c in image})
+        lower_ids = {c: k for k, c in enumerate(coeffs[n - 1])}
+        faces = face_table(coeffs[n], lower_ids, **face_kwargs)
+        rows: list[dict[int, int]] = [{} for _ in gc.levels[n]]
+        # one int object per column, shared by every row that holds it
+        col_ids = list(range(len(gc.levels[n - 1])))
+        for comp, offset in blocks[n].items():
+            radix = [sizes[w] for w in comp]
+            block = math.prod(radix)
+            for i in range(1, n):
+                # The element with coefficient c, prefix r, factors a, b in
+                # slots i, i+1 and suffix s has id offset + c * block +
+                # (r * a_size * b_size + a * b_size + b) * suffix + s.  Face i
+                # sends it, for each term t of a * b, to lower_offset +
+                # lower_c * lower_block + (r * merged_size + t) * suffix + s.
+                a_size, b_size = radix[i - 1], radix[i]
+                suffix = math.prod(radix[i + 1 :])
+                merged = comp[i - 1] + comp[i]
+                lower = comp[: i - 1] + (merged,) + comp[i + 1 :]
+                lower_offset = blocks[n - 1][lower]
+                merged_size = sizes[merged]
+                lower_block = block // (a_size * b_size) * merged_size
+                sign = -((-1) ** i)  # d = -sum_i (-1)^i d_i
+                for c, coeff_faces in enumerate(faces):
+                    lower_c, op = coeff_faces[i - 1]
+                    table = product_table(op, comp[i - 1], comp[i])
+                    for r in range(block // (a_size * b_size * suffix)):
+                        e = offset + c * block + r * a_size * b_size * suffix
+                        col = lower_offset + lower_c * lower_block + r * merged_size * suffix
+                        # faces i < i' land in different lower compositions,
+                        # so no row receives a column twice
+                        for terms in table:
+                            for t, k in terms:
+                                base = col + t * suffix
+                                v = sign * k
+                                for s in range(suffix):
+                                    rows[e + s][col_ids[base + s]] = v
+                            e += suffix
         gc.diff[n] = rows
-    for n in range(3, weight + 1):
+    _check_d_squared(gc)
+    return gc
+
+
+def _check_d_squared(gc: GradedComplex) -> None:
+    """Set d_squared_zero, and d_squared_failure for the first element x
+    with d(d(x)) != 0, its residual labelled by basis element."""
+    for n in range(3, gc.weight + 1):
         lower = gc.diff[n - 1]
         for k, row in enumerate(gc.diff[n]):
             acc: dict[int, int] = {}
@@ -218,7 +356,6 @@ def build_complex(family: str, weight: int, **face_kwargs) -> GradedComplex:
                             if c
                         },
                     }
-    return gc
 
 
 def _label(elem) -> str:
@@ -279,31 +416,32 @@ def _sweep(family: str, max_weight: int, candidates, pinned_label, **pin_fields)
     }
 
 
+# The candidate conventions of the two sweeps, each (label, report
+# fields, build_complex keyword arguments).  Tree family: leaf offset 0/1
+# (face i reads leaf i or leaf i+1) crossed with the natural or mirrored
+# orientation map.  Simplex family: both orientations of the mixed rows
+# of the face-product table.
+TREE_FACE_CANDIDATES = [
+    (
+        (offset, ops_name),
+        {"leaf_offset": offset, "orientation_map": ops_name},
+        {"leaf_offset": offset, "orientation_ops": ops},
+    )
+    for offset in (0, 1)
+    for ops_name, ops in (("natural", TREE_FACE_OPS), ("mirrored", _MIRRORED_OPS))
+]
+SIMPLEX_FACE_CANDIDATES = [
+    (name, {"table": name}, {"product_table": table})
+    for name, table in (("pinned", SIMPLEX_FACE_TABLE), ("mirrored", _MIRRORED_SIMPLEX_TABLE))
+]
+
+
 def face_convention_sweep(max_weight: int = 3) -> dict:
-    """Sweep the tree-coefficient complexes over leaf offset 0/1 (face i
-    reads leaf i or leaf i+1) crossed with the natural or mirrored
-    orientation map."""
-    candidates = [
-        (
-            (offset, ops_name),
-            {"leaf_offset": offset, "orientation_map": ops_name},
-            {"leaf_offset": offset, "orientation_ops": ops},
-        )
-        for offset in (0, 1)
-        for ops_name, ops in (("natural", TREE_FACE_OPS), ("mirrored", _MIRRORED_OPS))
-    ]
+    """Sweep the tree-coefficient complexes over TREE_FACE_CANDIDATES."""
     pinned = (TREE_FACE_LEAF_OFFSET, "natural")
-    return _sweep(TREE_FAMILY, max_weight, candidates, pinned, pinned=pinned)
+    return _sweep(TREE_FAMILY, max_weight, TREE_FACE_CANDIDATES, pinned, pinned=pinned)
 
 
 def simplex_convention_sweep(max_weight: int = 3) -> dict:
-    """Sweep the simplex-coefficient complexes over both orientations of
-    the mixed rows of the face-product table."""
-    candidates = [
-        (name, {"table": name}, {"product_table": table})
-        for name, table in (
-            ("pinned", SIMPLEX_FACE_TABLE),
-            ("mirrored", _MIRRORED_SIMPLEX_TABLE),
-        )
-    ]
-    return _sweep(SIMPLEX_FAMILY, max_weight, candidates, "pinned")
+    """Sweep the simplex-coefficient complexes over SIMPLEX_FACE_CANDIDATES."""
+    return _sweep(SIMPLEX_FAMILY, max_weight, SIMPLEX_FACE_CANDIDATES, "pinned")

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from trioperad import cells as cells_mod
+from trioperad import complexes as complexes_mod
 from trioperad import series as series_mod
 from trioperad.cli import CELLS_CAP, _cells_for, _dimensions_report, certify_all, run
 from trioperad.series import TPoly, TSeries
@@ -281,6 +282,41 @@ def test_complex_empty_report_exits_2(capsys, report):
     assert code == 2
     assert captured.out == ""
     assert "dims,d2,betti" in captured.err
+
+
+def _refuse_build(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("complex build started past the cap")
+
+    monkeypatch.setattr(complexes_mod, "build_complex", refuse)
+
+
+@pytest.mark.parametrize("family", ["simplex", "tree"])
+@pytest.mark.parametrize("weight", [9, 40, 10**6])
+def test_complex_build_over_cap_exits_2(capsys, monkeypatch, family, weight):
+    _refuse_build(monkeypatch)
+    code = run(["complex", "build", "--family", family, "--weight", str(weight)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"CELLS_CAP = {CELLS_CAP}" in captured.err
+
+
+@pytest.mark.parametrize("family, total", [("simplex", 279936), ("tree", 530544)])
+def test_complex_build_cap_boundary(monkeypatch, family, total):
+    # weight 8 is the largest accepted weight for both families
+    assert sum(complexes_mod.level_dims(family, 8).values()) == total <= CELLS_CAP
+    started = []
+
+    def record(family, weight):
+        started.append((family, weight))
+        return complexes_mod.GradedComplex(family=family, weight=weight)
+
+    monkeypatch.setattr(complexes_mod, "build_complex", record)
+    assert run(["complex", "build", "--family", family, "--weight", "8", "--report", "d2"]) == 0
+    assert started == [(family, 8)]
+    _refuse_build(monkeypatch)
+    assert run(["complex", "build", "--family", family, "--weight", "9"]) == 2
 
 
 # ----------------------------------------------------------------- series

@@ -4,8 +4,10 @@ import pytest
 
 from trioperad.cells import LEAF, graft, parse_subset_cell as cell, parse_tree
 from trioperad.complexes import (
+    SIMPLEX_FACE_CANDIDATES,
     SIMPLEX_FACE_TABLE,
     SIMPLEX_FAMILY,
+    TREE_FACE_CANDIDATES,
     TREE_FACE_LEAF_OFFSET,
     TREE_FAMILY,
     build_complex,
@@ -15,6 +17,7 @@ from trioperad.complexes import (
     face_map_simplex_coeff,
     face_map_tree_coeff,
     homology_ranks,
+    level_dims,
     simplex_convention_sweep,
     simplex_face_product,
 )
@@ -156,6 +159,67 @@ def test_differential_preserves_weight_and_drops_level():
                 _, lfactors = lower[j]
                 assert len(lfactors) == n - 1
                 assert sum(t.leaves - 1 for t in lfactors) == weight
+
+
+def _reference_rows(gc, n, **face_kwargs):
+    """d = -sum_i (-1)^i d_i from the one-element face maps, per element
+    of level n, as {index at level n-1: coefficient} rows."""
+    face = face_map_simplex_coeff if gc.family == SIMPLEX_FAMILY else face_map_tree_coeff
+    index = {elem: k for k, elem in enumerate(gc.levels[n - 1])}
+    rows = []
+    for coeff, factors in gc.levels[n]:
+        image = LinComb(
+            (b, -((-1) ** i) * c)
+            for i in range(1, len(factors))
+            for b, c in face(i, coeff, factors, **face_kwargs)
+        )
+        rows.append({index[b]: c for b, c in image})
+    return rows
+
+
+@pytest.mark.parametrize(
+    "family,face_kwargs",
+    [(SIMPLEX_FAMILY, kw) for _, _, kw in SIMPLEX_FACE_CANDIDATES]
+    + [(TREE_FAMILY, kw) for _, _, kw in TREE_FACE_CANDIDATES],
+)
+def test_boundary_rows_match_one_element_faces(family, face_kwargs):
+    # every sweep candidate, the mirrored ones whose d^2 fails included
+    for w in range(1, 5):
+        gc = build_complex(family, w, **face_kwargs)
+        assert set(gc.diff) == set(range(2, w + 1))
+        for n in gc.diff:
+            assert gc.diff[n] == _reference_rows(gc, n, **face_kwargs)
+
+
+@pytest.mark.parametrize("family", [SIMPLEX_FAMILY, TREE_FAMILY])
+def test_level_dims_match_built_dims(family):
+    for w in range(1, 7):
+        assert level_dims(family, w) == build_complex(family, w).dims()
+
+
+def test_level_dims_totals():
+    for w in range(1, 13):
+        simplex, tree = (sum(level_dims(f, w).values()) for f in (SIMPLEX_FAMILY, TREE_FAMILY))
+        assert simplex == 6 ** (w - 1)
+        # the cap in `complex build` refuses by 6^(w-1) before counting
+        assert tree >= simplex
+    assert [sum(level_dims(TREE_FAMILY, w).values()) for w in (5, 6, 7)] == [1512, 10392, 73440]
+
+
+@pytest.mark.parametrize("family", [SIMPLEX_FAMILY, TREE_FAMILY])
+def test_level_dims_euler_characteristic(family):
+    # sum (-1)^(n-1) dim_n equals the alternating sum of the Betti numbers
+    for w in range(1, 12):
+        euler = sum((-1) ** (n - 1) * d for n, d in level_dims(family, w).items())
+        assert euler == sum((-1) ** (n - 1) * b for n, b in expected_betti(w).items())
+        assert euler == (1 if w == 1 else 0)
+
+
+def test_level_dims_rejects_bad_input():
+    with pytest.raises(ValueError):
+        level_dims("octahedron", 2)
+    with pytest.raises(ValueError):
+        level_dims(TREE_FAMILY, 0)
 
 
 def test_build_complex_rejects_bad_input():
