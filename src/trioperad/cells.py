@@ -22,6 +22,8 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
+from .series import super_catalan_numbers
+
 
 # =====================================================================
 # simplex cells
@@ -325,3 +327,16 @@ def enumerate_cube_cells(n: int) -> list[CubeCell]:
     if n < 1:
         raise ValueError("n must be >= 1")
     return [CubeCell("".join(w)) for w in itertools.product("01*", repeat=n - 1)]
+
+
+def cell_count(family: str, arity: int) -> int:
+    """The number of cells of a family at this arity, from the closed
+    forms: 2^n - 1 subset cells, the super-Catalan number s_n of planar
+    trees with n + 1 leaves, 3^(n-1) cube cells."""
+    if arity < 1:
+        raise ValueError(f"arity must be >= 1, got {arity}")
+    if family == "subset":
+        return 2**arity - 1
+    if family == "tree":
+        return super_catalan_numbers(arity)[-1]
+    return 3 ** (arity - 1)

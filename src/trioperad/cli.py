@@ -47,10 +47,10 @@ def _emit_json(payload) -> None:
     print(json.dumps(payload, indent=2, default=str))
 
 
-def _report(payload: dict, ok_key: str = "passed") -> int:
+def _report(payload: dict) -> int:
     """Print a checker's report; exit 0 iff it passed."""
     _emit_json(payload)
-    return 0 if payload[ok_key] else 1
+    return 0 if payload["passed"] else 1
 
 
 def _degree_counts(items) -> dict[int, int]:
@@ -60,26 +60,22 @@ def _degree_counts(items) -> dict[int, int]:
     return by_degree
 
 
-# The most cells `cells` enumerates, and the most basis elements
-# `complex build` assembles.  Every family has at least 2^(n-1) cells at
-# arity n, so an arity past the cap's bit length is refused before any
-# count is computed.
+# The most cells `cells` enumerates, the most terms `dend power` sums,
+# and the most basis elements `complex build` assembles.
 CELLS_CAP = 10**6
 
 
-def _cell_count(family: str, arity: int) -> int:
-    """The number of cells at this arity, from the closed forms."""
-    if family == "subset":
-        return 2**arity - 1
-    if family == "tree":
-        return series_mod.super_catalan_numbers(arity)[-1]
-    return 3 ** (arity - 1)
+def _over_cap(family: str, arity: int) -> bool:
+    """Whether the family has more than CELLS_CAP cells at arity >= 1.
+    Every family has at least 2^(n-1) cells at arity n, so an arity past
+    the cap's bit length is refused before any count is computed."""
+    return arity - 1 >= CELLS_CAP.bit_length() or cells_mod.cell_count(family, arity) > CELLS_CAP
 
 
 def _cells_for(family: str, arity: int):
     if arity < 1:
         raise ValueError(f"--arity must be >= 1, got {arity}")
-    if arity - 1 >= CELLS_CAP.bit_length() or _cell_count(family, arity) > CELLS_CAP:
+    if _over_cap(family, arity):
         raise ValueError(
             f"--family {family} --arity {arity} has more than "
             f"CELLS_CAP = {CELLS_CAP} cells; use a smaller --arity"
@@ -166,6 +162,11 @@ def _cmd_dend_mul(args) -> int:
 
 
 def _cmd_dend_power(args) -> int:
+    # star_power(n) is the sum of the s_n planar trees with n + 1 leaves
+    if args.n >= 1 and _over_cap("tree", args.n):
+        raise ValueError(
+            f"--n {args.n} has more than CELLS_CAP = {CELLS_CAP} terms; use a smaller --n"
+        )
     result = dendriform.star_power(args.n)
     _emit_json({"n": args.n, "count": len(result), "terms": _terms(result, "tree")})
     return 0
@@ -298,11 +299,7 @@ def certify_all(level: str = "quick") -> dict:
     sections["star_associativity"] = dendriform.star_associativity(10)
     sections["generator_spans"] = dendriform.check_generator_spans(5)
     sections["dimensions"] = _dimensions_report()
-    dg = trialgebra.check_dg_rules(6)
-    sections["dg_rules"] = dict(
-        dg,
-        passed=dg["discovery_passed"] and dg["signed_mid_fails_on_generators"],
-    )
+    sections["dg_rules"] = trialgebra.check_dg_rules(6)
     sections["duality"] = duality.certify_duality()
     families = {}
     for family in (complexes.SIMPLEX_FAMILY, complexes.TREE_FAMILY):
@@ -357,9 +354,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=lambda a: _report(trialgebra.check_trialgebra_relations(a.max_arity)))
     p = tri.add_parser("check-dg", help="boundary/product rule discovery")
     p.add_argument("--max-arity", type=int, default=6)
-    p.set_defaults(
-        fn=lambda a: _report(trialgebra.check_dg_rules(a.max_arity), "discovery_passed")
-    )
+    p.set_defaults(fn=lambda a: _report(trialgebra.check_dg_rules(a.max_arity)))
     p = tri.add_parser("check-operad", help="operad associativity and units")
     p.add_argument("--max-arity", type=int, default=6)
     p.set_defaults(fn=lambda a: _report(trialgebra.check_operad_axioms(a.max_arity)))

@@ -24,9 +24,15 @@ The leaf-index/orientation convention for the tree family is pinned by
 candidate convention and shows the pinned one is the only candidate with
 d^2 = 0 and the right homology.
 
-``build_complex`` assembles the boundary on integer ids; the one-element
-face maps ``face_map_simplex_coeff`` / ``face_map_tree_coeff`` define
-what it computes and serve as the reference in the tests.
+A face convention is one function ``face(coeff, i)`` returning the face
+coefficient and the product that merges factors i, i+1:
+``simplex_face`` (``collapse_vertex`` and ``simplex_face_product``) and
+``tree_face`` (``remove_leaf`` and ``leaf_orientation`` of leaf i +
+offset) build the candidates the sweeps try.  ``face_map`` applies one
+face to one element; it defines what ``build_complex`` computes and
+serves as the reference in the tests.
+
+``build_complex`` assembles the boundary on integer ids:
 
 * Ids.  Level n is ordered by composition (w_1..w_n) of the weight, then
   coefficient, then factor tuple in ``itertools.product`` order, so the
@@ -34,10 +40,8 @@ what it computes and serve as the reference in the tests.
   ``offset[comp] + c * P + sum_k f_k * stride_k``, where c and f_k are
   positions in the coefficient and factor enumerations, P is the product
   of the factor counts and stride_k the product of those after slot k.
-* Face tables.  Per coefficient and face i, computed once: the id of the
-  face coefficient (``collapse_vertex``, or ``remove_leaf`` of leaf
-  i + offset) and the product that merges factors i, i+1
-  (``simplex_face_product``, or the op of ``leaf_orientation``).
+* Face table.  Per coefficient and face i, computed once from ``face``:
+  the id of the face coefficient and the merging product.
 * Product tables.  Per (product, w_i, w_{i+1}), computed once: the
   product of every factor pair as (factor id, coefficient) terms.
 
@@ -58,6 +62,7 @@ from .cells import (
     LeafOrientation,
     PlanarTree,
     SubsetCell,
+    cell_count,
     compositions,
     enumerate_planar_trees,
     enumerate_subset_cells,
@@ -65,8 +70,7 @@ from .cells import (
     remove_leaf,
 )
 from .dendriform import DEND_OPS
-from .linear import LinComb, rank
-from .series import super_catalan_numbers
+from .linear import LinComb, as_lincomb, rank
 from .trialgebra import left_cell, mid_cell, right_cell
 
 SIMPLEX_FAMILY = "simplex"
@@ -105,10 +109,9 @@ _MIRRORED_SIMPLEX_TABLE = {
 }
 
 
-def simplex_face_product(i: int, cell: SubsetCell, table=None) -> str:
+def simplex_face_product(i: int, cell: SubsetCell, table=SIMPLEX_FACE_TABLE) -> str:
     """Which product merges factors i, i+1 over a simplex coefficient."""
-    ops = SIMPLEX_FACE_TABLE if table is None else table
-    return ops[(i in cell.elements, (i + 1) in cell.elements)]
+    return table[(i in cell.elements, (i + 1) in cell.elements)]
 
 
 def collapse_vertex(cell: SubsetCell, i: int) -> SubsetCell:
@@ -117,41 +120,40 @@ def collapse_vertex(cell: SubsetCell, i: int) -> SubsetCell:
     return SubsetCell(cell.arity - 1, tuple(elems))
 
 
-def face_map_simplex_coeff(
-    i: int, cell: SubsetCell, factors: tuple, *, product_table=None
-) -> LinComb:
-    """i-th face of (cell; factors) in the simplex-coefficient complex."""
-    n = cell.arity
+def simplex_face(table=SIMPLEX_FACE_TABLE):
+    """The simplex-family face convention: face i collapses vertices i,
+    i+1 of the coefficient cell and merges the factors with the product
+    ``table`` reads off their membership."""
+
+    def face(cell: SubsetCell, i: int):
+        return collapse_vertex(cell, i), DEND_OPS[simplex_face_product(i, cell, table)]
+
+    return face
+
+
+def tree_face(leaf_offset: int = TREE_FACE_LEAF_OFFSET, ops=TREE_FACE_OPS):
+    """The tree-family face convention: face i removes leaf i +
+    ``leaf_offset`` of the coefficient tree and merges the factors with
+    the product ``ops`` assigns to that leaf's orientation."""
+
+    def face(tree: PlanarTree, i: int):
+        leaf = i + leaf_offset
+        return remove_leaf(tree, leaf), ops[leaf_orientation(tree, leaf)]
+
+    return face
+
+
+def face_map(i: int, coeff, factors: tuple, face) -> LinComb:
+    """i-th face of the element (coeff; factors) under the convention
+    ``face``."""
+    n = len(factors)
     if not 1 <= i <= n - 1:
         raise ValueError(f"face index {i} out of range 1..{n - 1}")
-    product = DEND_OPS[simplex_face_product(i, cell, product_table)](
-        factors[i - 1], factors[i]
-    )
-    new_cell = collapse_vertex(cell, i)
+    new_coeff, op = face(coeff, i)
     return LinComb(
-        ((new_cell, factors[: i - 1] + (t,) + factors[i + 1 :]), c)
-        for t, c in product
+        ((new_coeff, factors[: i - 1] + (t,) + factors[i + 1 :]), c)
+        for t, c in as_lincomb(op(factors[i - 1], factors[i]))
     )
-
-
-def face_map_tree_coeff(
-    i: int,
-    tree: PlanarTree,
-    factors: tuple,
-    *,
-    leaf_offset: int = TREE_FACE_LEAF_OFFSET,
-    orientation_ops=None,
-) -> LinComb:
-    """i-th face of (tree; factors) in the tree-coefficient complex."""
-    n = tree.leaves - 1
-    if not 1 <= i <= n - 1:
-        raise ValueError(f"face index {i} out of range 1..{n - 1}")
-    ops = TREE_FACE_OPS if orientation_ops is None else orientation_ops
-    leaf = i + leaf_offset
-    cell_op = ops[leaf_orientation(tree, leaf)]
-    new_tree = remove_leaf(tree, leaf)
-    merged = cell_op(factors[i - 1], factors[i])
-    return LinComb.single((new_tree, factors[: i - 1] + (merged,) + factors[i + 1 :]))
 
 
 @dataclass
@@ -181,6 +183,10 @@ def _arity_basis(family: str, n: int):
     return enumerate_planar_trees(n + 1)
 
 
+# the `cells` family name of each complex family's coefficients
+_CELL_FAMILY = {SIMPLEX_FAMILY: "subset", TREE_FAMILY: "tree"}
+
+
 def _dual(family: str) -> str:
     # factors come from the free algebra of the dual family
     return TREE_FAMILY if family == SIMPLEX_FAMILY else SIMPLEX_FAMILY
@@ -193,21 +199,16 @@ def _check_family_weight(family: str, weight: int) -> None:
         raise ValueError("weight must be >= 1")
 
 
-def _arity_counts(family: str, top: int) -> list[int]:
-    """|_arity_basis(family, n)| for n = 1..top, from the closed forms."""
-    if family == SIMPLEX_FAMILY:
-        return [2**n - 1 for n in range(1, top + 1)]
-    return super_catalan_numbers(top)
-
-
 def level_dims(family: str, weight: int) -> dict[int, int]:
     """The level dimensions of ``build_complex(family, weight)``, counted
     without building anything: level n has, summed over the compositions
     of the weight, |coefficients of arity n| times the product of
     |factors of weight w_k|."""
     _check_family_weight(family, weight)
-    coeffs = _arity_counts(family, weight)
-    factors = _arity_counts(_dual(family), weight)
+    coeffs, factors = (
+        [cell_count(_CELL_FAMILY[f], n) for n in range(1, weight + 1)]
+        for f in (family, _dual(family))
+    )
     return {
         n: coeffs[n - 1]
         * sum(math.prod(factors[w - 1] for w in comp) for comp in compositions(weight, n))
@@ -215,56 +216,13 @@ def level_dims(family: str, weight: int) -> dict[int, int]:
     }
 
 
-def _simplex_faces(coeffs, lower_ids, *, product_table=None):
-    """Per coefficient cell, per face i: (collapsed cell id, product)."""
-    return [
-        [
-            (
-                lower_ids[collapse_vertex(cell, i)],
-                DEND_OPS[simplex_face_product(i, cell, product_table)],
-            )
-            for i in range(1, cell.arity)
-        ]
-        for cell in coeffs
-    ]
-
-
-def _tree_faces(coeffs, lower_ids, *, leaf_offset=TREE_FACE_LEAF_OFFSET, orientation_ops=None):
-    """Per coefficient tree, per face i: (id of the tree without the
-    face's leaf, product read off that leaf's orientation)."""
-    ops = TREE_FACE_OPS if orientation_ops is None else orientation_ops
-    return [
-        [
-            (
-                lower_ids[remove_leaf(tree, i + leaf_offset)],
-                ops[leaf_orientation(tree, i + leaf_offset)],
-            )
-            for i in range(1, tree.leaves - 1)
-        ]
-        for tree in coeffs
-    ]
-
-
-def _factor_products(op, xs, ys, ids) -> list[list[tuple[int, int]]]:
-    """op(x, y) for every factor pair, row-major in (x, y), as lists of
-    (factor id, coefficient) terms."""
-    out = []
-    for x in xs:
-        for y in ys:
-            r = op(x, y)
-            terms = r if isinstance(r, LinComb) else ((r, 1),)
-            out.append([(ids[t], c) for t, c in terms])
-    return out
-
-
-def build_complex(family: str, weight: int, **face_kwargs) -> GradedComplex:
-    """Assemble bases and boundary matrices for weight ``weight`` and
-    verify d^2 = 0 across all levels.
-
-    ``face_kwargs`` are the convention overrides the sweeps try:
-    ``product_table`` for the simplex family, ``leaf_offset`` and
-    ``orientation_ops`` for the tree family."""
+def build_complex(family: str, weight: int, face=None) -> GradedComplex:
+    """Assemble bases and boundary matrices for weight ``weight`` under
+    the face convention ``face`` (None: the pinned one) and verify
+    d^2 = 0 across all levels."""
     _check_family_weight(family, weight)
+    if face is None:
+        face = simplex_face() if family == SIMPLEX_FAMILY else tree_face()
     gc = GradedComplex(family=family, weight=weight)
     factors = {w: _arity_basis(_dual(family), w) for w in range(1, weight + 1)}
     sizes = {w: len(fs) for w, fs in factors.items()}
@@ -279,21 +237,28 @@ def build_complex(family: str, weight: int, **face_kwargs) -> GradedComplex:
             tuples = list(itertools.product(*(factors[w] for w in comp)))
             basis.extend((c, fs) for c in coeffs[n] for fs in tuples)
         gc.levels[n] = basis
-    face_table = _simplex_faces if family == SIMPLEX_FAMILY else _tree_faces
     factor_ids = {w: {f: k for k, f in enumerate(fs)} for w, fs in factors.items()}
     products: dict[tuple, list] = {}
 
     def product_table(op, wa: int, wb: int) -> list:
+        """op(x, y) for every factor pair, row-major in (x, y), as lists
+        of (factor id, coefficient) terms."""
         key = (op, wa, wb)
         if key not in products:
-            products[key] = _factor_products(
-                op, factors[wa], factors[wb], factor_ids[wa + wb]
-            )
+            ids = factor_ids[wa + wb]
+            products[key] = [
+                [(ids[t], c) for t, c in as_lincomb(op(x, y))]
+                for x in factors[wa]
+                for y in factors[wb]
+            ]
         return products[key]
 
     for n in range(2, weight + 1):
         lower_ids = {c: k for k, c in enumerate(coeffs[n - 1])}
-        faces = face_table(coeffs[n], lower_ids, **face_kwargs)
+        faces = [
+            [(lower_ids[low], op) for low, op in (face(c, i) for i in range(1, n))]
+            for c in coeffs[n]
+        ]
         rows: list[dict[int, int]] = [{} for _ in gc.levels[n]]
         # one int object per column, shared by every row that holds it
         col_ids = list(range(len(gc.levels[n - 1])))
@@ -380,9 +345,9 @@ def expected_betti(weight: int) -> dict[int, int]:
     return {n: 1 if (n == 1 and weight == 1) else 0 for n in range(1, weight + 1)}
 
 
-def weight_report(family: str, weight: int, **face_kwargs) -> dict:
+def weight_report(family: str, weight: int, face=None) -> dict:
     """Build one complex; check d^2 = 0 and the expected Betti numbers."""
-    gc = build_complex(family, weight, **face_kwargs)
+    gc = build_complex(family, weight, face)
     hom = homology_ranks(gc)
     return {
         "weight": weight,
@@ -394,13 +359,13 @@ def weight_report(family: str, weight: int, **face_kwargs) -> dict:
 
 
 def _sweep(family: str, max_weight: int, candidates, pinned_label, **pin_fields) -> dict:
-    """Which candidate conventions, each (label, report fields, build_complex
-    keyword arguments), give d^2 = 0 and the expected homology at every
-    weight <= max_weight; ``pinned_label`` is the one the package uses."""
+    """Which candidate conventions, each (label, report fields, face),
+    give d^2 = 0 and the expected homology at every weight <= max_weight;
+    ``pinned_label`` is the one the package uses."""
     results = []
     passing = []
-    for label, fields, face_kwargs in candidates:
-        reports = [weight_report(family, w, **face_kwargs) for w in range(1, max_weight + 1)]
+    for label, fields, face in candidates:
+        reports = [weight_report(family, w, face) for w in range(1, max_weight + 1)]
         ok = all(r["passed"] for r in reports)
         detail = [{k: r[k] for k in ("weight", "d_squared_zero", "betti")} for r in reports]
         results.append({**fields, "passes": ok, "detail": detail})
@@ -417,21 +382,21 @@ def _sweep(family: str, max_weight: int, candidates, pinned_label, **pin_fields)
 
 
 # The candidate conventions of the two sweeps, each (label, report
-# fields, build_complex keyword arguments).  Tree family: leaf offset 0/1
-# (face i reads leaf i or leaf i+1) crossed with the natural or mirrored
-# orientation map.  Simplex family: both orientations of the mixed rows
-# of the face-product table.
+# fields, face).  Tree family: leaf offset 0/1 (face i reads leaf i or
+# leaf i+1) crossed with the natural or mirrored orientation map.
+# Simplex family: both orientations of the mixed rows of the
+# face-product table.
 TREE_FACE_CANDIDATES = [
     (
         (offset, ops_name),
         {"leaf_offset": offset, "orientation_map": ops_name},
-        {"leaf_offset": offset, "orientation_ops": ops},
+        tree_face(offset, ops),
     )
     for offset in (0, 1)
     for ops_name, ops in (("natural", TREE_FACE_OPS), ("mirrored", _MIRRORED_OPS))
 ]
 SIMPLEX_FACE_CANDIDATES = [
-    (name, {"table": name}, {"product_table": table})
+    (name, {"table": name}, simplex_face(table))
     for name, table in (("pinned", SIMPLEX_FACE_TABLE), ("mirrored", _MIRRORED_SIMPLEX_TABLE))
 ]
 

@@ -293,7 +293,8 @@ def check_dg_rules(max_arity: int) -> dict:
     classical Koszul sign (-1)^|x|, the four constant-correction variants
     of the signed mid rule, the sign-free right rule, and the degree-gated
     mid rule the discovery run certifies.  Failures come with the first
-    counterexample.
+    counterexample.  ``passed`` requires the discovery to pass and the
+    signed mid rule to fail on the generators.
     """
     require_bound(max_arity, 2, "cell pair")
     variants = _dg_rule_variants()
@@ -324,17 +325,20 @@ def check_dg_rules(max_arity: int) -> dict:
     gen_lhs, gen_rhs = signed_mid(gen, gen)
     mid_variants = [e for e in results if "mid" in e["name"]]
     universal_mid = [e["name"] for e in mid_variants if e["holds"]]
+    discovery_passed = (
+        by_name["left_plain"]["holds"]
+        and by_name["right_unsigned"]["holds"]
+        and by_name["discovered_mid"]["holds"]
+        and universal_mid == ["discovered_mid"]
+    )
+    signed_mid_fails = gen_lhs != gen_rhs
     return {
         "max_arity": max_arity,
         "grading": "cell degree",
         "pairs_checked": pairs,
         "rules": results,
-        "signed_mid_fails_on_generators": gen_lhs != gen_rhs,
+        "signed_mid_fails_on_generators": signed_mid_fails,
         "universal_mid_rules": universal_mid,
-        "discovery_passed": (
-            by_name["left_plain"]["holds"]
-            and by_name["right_unsigned"]["holds"]
-            and by_name["discovered_mid"]["holds"]
-            and universal_mid == ["discovered_mid"]
-        ),
+        "discovery_passed": discovery_passed,
+        "passed": discovery_passed and signed_mid_fails,
     }

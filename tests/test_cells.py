@@ -7,6 +7,7 @@ from trioperad.cells import (
     CubeCell,
     LeafOrientation,
     SubsetCell,
+    cell_count,
     compositions,
     decompose,
     enumerate_cube_cells,
@@ -70,6 +71,7 @@ def test_enumerate_subset_cells_pinned_order():
 def test_enumerate_subset_cells_counts():
     for n, want in SUBSET_COUNTS.items():
         assert len(enumerate_subset_cells(n)) == want
+        assert cell_count("subset", n) == want
 
 
 def test_subset_degree_counts_are_binomial():
@@ -122,6 +124,9 @@ def test_tree_degree():
 def test_enumerate_planar_trees_counts():
     for leaves, want in TREE_COUNTS.items():
         assert len(enumerate_planar_trees(leaves)) == want
+        if leaves > 1:
+            # trees with n + 1 leaves are the cells of arity n
+            assert cell_count("tree", leaves - 1) == want
 
 
 def test_leaf_orientation_pinned():
@@ -166,6 +171,34 @@ def test_enumerate_cube_cells():
     assert [c.literal() for c in enumerate_cube_cells(2)] == ["0", "1", "*"]
     for n, want in CUBE_COUNTS.items():
         assert len(enumerate_cube_cells(n)) == want
+        assert cell_count("cube", n) == want
+
+
+@pytest.mark.parametrize("family", ["subset", "tree", "cube"])
+def test_cell_count_rejects_arity_below_one(family):
+    for arity in (0, -1):
+        with pytest.raises(ValueError, match="arity must be >= 1"):
+            cell_count(family, arity)
+
+
+# ------------------------------------------------------------ round trips
+
+
+@pytest.mark.parametrize(
+    "enumerate_cells, parse, top",
+    [
+        (enumerate_planar_trees, parse_tree, 7),  # leaves
+        (enumerate_subset_cells, parse_subset_cell, 8),
+        (enumerate_cube_cells, parse_cube_cell, 6),
+    ],
+    ids=["tree", "subset", "cube"],
+)
+def test_parse_inverts_literal(enumerate_cells, parse, top):
+    # exhaustive: every tree with <= 7 leaves, every subset cell of arity
+    # <= 8, every cube word of arity <= 6
+    for n in range(1, top + 1):
+        for x in enumerate_cells(n):
+            assert parse(x.literal()) == x
 
 
 # ----------------------------------------------------------- compositions

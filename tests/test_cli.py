@@ -1,5 +1,6 @@
 """CLI surface: subcommands, payload shapes, exit codes, error paths."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -8,8 +9,10 @@ import pytest
 
 from trioperad import cells as cells_mod
 from trioperad import complexes as complexes_mod
+from trioperad import dendriform as dendriform_mod
 from trioperad import series as series_mod
 from trioperad.cli import CELLS_CAP, _cells_for, _dimensions_report, certify_all, run
+from trioperad.linear import LinComb
 from trioperad.series import TPoly, TSeries
 
 FAMILIES = ("subset", "tree", "cube")
@@ -58,12 +61,18 @@ def test_cells_arity_below_one_exits_2(capsys, family, arity):
     assert f"--arity must be >= 1, got {arity}" in captured.err
 
 
-def _refuse_enumeration(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("enumeration started past the cap")
+def _refuse(monkeypatch, module, *names):
+    """Make the named functions fail the test if a capped command calls them."""
 
-    for name in ENUMERATORS:
-        monkeypatch.setattr(cells_mod, name, refuse)
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started past the cap")
+
+    for name in names:
+        monkeypatch.setattr(module, name, refuse)
+
+
+def _refuse_enumeration(monkeypatch):
+    _refuse(monkeypatch, cells_mod, *ENUMERATORS)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -179,6 +188,9 @@ def test_tri_check_dg(capsys):
     assert code == 0
     assert payload["discovery_passed"]
     assert payload["universal_mid_rules"] == ["discovered_mid"]
+    # the verdict certify-all reads, as the last key
+    assert list(payload)[-1] == "passed"
+    assert payload["passed"]
 
 
 def test_tri_parse_error_exits_2(capsys):
@@ -227,6 +239,35 @@ def test_dend_power(capsys):
     assert code == 0
     assert payload["count"] == 11
     assert all(term["coeff"] == "1" for term in payload["terms"])
+
+
+@pytest.mark.parametrize("n", [11, 40, 10**6])
+def test_dend_power_over_cap_exits_2(capsys, monkeypatch, n):
+    _refuse(monkeypatch, dendriform_mod, "star_power")
+    if n - 1 >= CELLS_CAP.bit_length():
+        # refused before any count is computed
+        _refuse(monkeypatch, cells_mod, "cell_count")
+    code = run(["dend", "power", "--n", str(n)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"CELLS_CAP = {CELLS_CAP}" in captured.err
+
+
+def test_dend_power_cap_boundary(monkeypatch):
+    # s_10 = 518,859 trees is the largest accepted power
+    assert cells_mod.cell_count("tree", 10) == 518859 <= CELLS_CAP
+    started = []
+
+    def record(n):
+        started.append(n)
+        return LinComb()
+
+    monkeypatch.setattr(dendriform_mod, "star_power", record)
+    assert run(["dend", "power", "--n", "10"]) == 0
+    assert started == [10]
+    _refuse(monkeypatch, dendriform_mod, "star_power")
+    assert run(["dend", "power", "--n", "11"]) == 2
 
 
 def test_dend_check_relations(capsys):
@@ -285,10 +326,7 @@ def test_complex_empty_report_exits_2(capsys, report):
 
 
 def _refuse_build(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("complex build started past the cap")
-
-    monkeypatch.setattr(complexes_mod, "build_complex", refuse)
+    _refuse(monkeypatch, complexes_mod, "build_complex")
 
 
 @pytest.mark.parametrize("family", ["simplex", "tree"])
@@ -369,8 +407,15 @@ def test_series_order_below_one_exits_2(capsys, fmt):
 # ------------------------------------------------------------- certify-all
 
 
+# sha256 of the stdout of `trioperad certify-all --level quick`; a change
+# that alters the certificate must update it on purpose
+CERTIFY_QUICK_SHA256 = "83c4f0090e0130b473685ae41e2ed90124a254c2c4426302f0960f11f56e3571"
+
+
 def test_certify_all_quick_passes():
     report = certify_all("quick")
+    printed = json.dumps(report, indent=2, default=str) + "\n"
+    assert hashlib.sha256(printed.encode()).hexdigest() == CERTIFY_QUICK_SHA256
     assert report["passed"]
     assert set(report["sections"]) == {
         "operad_axioms",

@@ -14,12 +14,13 @@ from trioperad.complexes import (
     collapse_vertex,
     expected_betti,
     face_convention_sweep,
-    face_map_simplex_coeff,
-    face_map_tree_coeff,
+    face_map,
     homology_ranks,
     level_dims,
     simplex_convention_sweep,
+    simplex_face,
     simplex_face_product,
+    tree_face,
 )
 from trioperad.linear import LinComb
 
@@ -63,13 +64,13 @@ def test_collapse_vertex():
 
 def test_face_map_simplex_mid_row_pinned():
     # X = {1,2}@2 with two 2-leaf factors: the mid product, one term
-    out = face_map_simplex_coeff(1, cell("{1,2}@2"), (A, A))
+    out = face_map(1, cell("{1,2}@2"), (A, A), simplex_face())
     assert out == LinComb.single((cell("{1}@1"), (parse_tree("(|,|,|)"),)))
 
 
 def test_face_map_simplex_multi_term():
     # neither endpoint in X: star, which fans into three trees
-    out = face_map_simplex_coeff(2, cell("{1}@3"), (A, A, A))
+    out = face_map(2, cell("{1}@3"), (A, A, A), simplex_face())
     assert len(out) == 3
     for (new_cell, factors), c in out:
         assert c == 1
@@ -80,20 +81,20 @@ def test_face_map_simplex_multi_term():
 
 def test_face_map_simplex_range():
     with pytest.raises(ValueError):
-        face_map_simplex_coeff(2, cell("{1}@2"), (A, A))
+        face_map(2, cell("{1}@2"), (A, A), simplex_face())
 
 
 def test_face_map_tree_middle_leaf_pinned():
     # corolla coefficient, face 1 reads leaf 2 (middle) -> mid product
     corolla = parse_tree("(|,|,|)")
-    out = face_map_tree_coeff(1, corolla, (cell("{1}@1"), cell("{1}@1")))
+    out = face_map(1, corolla, (cell("{1}@1"), cell("{1}@1")), tree_face())
     assert out == LinComb.single((A, (cell("{1,2}@2"),)))
 
 
 def test_face_map_tree_left_leaf():
     # coefficient (|,(|,|)): leaf 2 is left-oriented -> left product
     t = parse_tree("(|,(|,|))")
-    out = face_map_tree_coeff(1, t, (cell("{1}@1"), cell("{1}@1")))
+    out = face_map(1, t, (cell("{1}@1"), cell("{1}@1")), tree_face())
     assert out == LinComb.single((A, (cell("{1}@2"),)))
 
 
@@ -161,17 +162,16 @@ def test_differential_preserves_weight_and_drops_level():
                 assert sum(t.leaves - 1 for t in lfactors) == weight
 
 
-def _reference_rows(gc, n, **face_kwargs):
-    """d = -sum_i (-1)^i d_i from the one-element face maps, per element
+def _reference_rows(gc, n, face):
+    """d = -sum_i (-1)^i d_i from the one-element face map, per element
     of level n, as {index at level n-1: coefficient} rows."""
-    face = face_map_simplex_coeff if gc.family == SIMPLEX_FAMILY else face_map_tree_coeff
     index = {elem: k for k, elem in enumerate(gc.levels[n - 1])}
     rows = []
     for coeff, factors in gc.levels[n]:
         image = LinComb(
             (b, -((-1) ** i) * c)
             for i in range(1, len(factors))
-            for b, c in face(i, coeff, factors, **face_kwargs)
+            for b, c in face_map(i, coeff, factors, face)
         )
         rows.append({index[b]: c for b, c in image})
     return rows
@@ -179,8 +179,8 @@ def _reference_rows(gc, n, **face_kwargs):
 
 @pytest.mark.parametrize(
     "family,face_kwargs",
-    [(SIMPLEX_FAMILY, kw) for _, _, kw in SIMPLEX_FACE_CANDIDATES]
-    + [(TREE_FAMILY, kw) for _, _, kw in TREE_FACE_CANDIDATES],
+    [(SIMPLEX_FAMILY, {"face": face}) for _, _, face in SIMPLEX_FACE_CANDIDATES]
+    + [(TREE_FAMILY, {"face": face}) for _, _, face in TREE_FACE_CANDIDATES],
 )
 def test_boundary_rows_match_one_element_faces(family, face_kwargs):
     # every sweep candidate, the mirrored ones whose d^2 fails included
@@ -261,7 +261,7 @@ def test_d_squared_failure_carries_residual():
         (False, True): "prec",
         (False, False): "star",
     }
-    gc = build_complex(SIMPLEX_FAMILY, 3, product_table=mirrored)
+    gc = build_complex(SIMPLEX_FAMILY, 3, simplex_face(mirrored))
     assert not gc.d_squared_zero
     failure = gc.d_squared_failure
     assert failure["level"] == 3

@@ -163,6 +163,7 @@ def test_dg_rule_discovery():
     # no constant-sign correction works; the degree-gated rule is unique
     assert dg["universal_mid_rules"] == ["discovered_mid"]
     assert dg["discovery_passed"]
+    assert dg["passed"]
 
 
 def test_dg_signed_right_counterexample_is_reported():
