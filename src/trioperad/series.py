@@ -4,17 +4,17 @@
 truncated power series in x whose coefficients are TPolys.  Everything is
 exact.  Coefficients are stored as ``int`` and become ``Fraction`` only
 where a value is truly non-integral (a rational scalar, evaluation at a
-rational t, a general ``reciprocal``/``invert``).  Every coefficient of
-the three cell-counting series is an integer, so building them,
-composing them and inverting them runs on integers alone.
+rational t, the ``invert`` of a series whose linear term is not +-1).
+Every coefficient of the three cell-counting series is an integer, so
+building them, composing them and inverting them runs on integers alone.
 
-The three cell-counting series:
+The three cell-counting series are the roots with f(0) = 0 of one
+equation, (1 + (2+t)x) f + (1+t) q(f) + x = 0, and differ only in q(f):
 
-* ``f_delta``    -x / ((1+x)(1+(1+t)x))            simplex cells
-* ``f_stasheff`` the root with f(0) = 0 of
-                 (1+t) x f^2 + (1+(2+t)x) f + x = 0, that is
-                 (-(1+(2+t)x) + sqrt(1+2(2+t)x+t^2 x^2)) / (2(1+t)x)
-* ``f_cube``     -x / (1+(2+t)x)                   cube cells
+* ``f_delta``    q(f) = x^2 f: -x / ((1+x)(1+(1+t)x))          simplex cells
+* ``f_stasheff`` q(f) = x f^2: (-(1+(2+t)x) + sqrt(1+2(2+t)x+t^2 x^2))
+                               / (2(1+t)x)                      planar trees
+* ``f_cube``     q(f) = 0:     -x / (1+(2+t)x)                  cube cells
 
 f_delta and f_stasheff are mutually inverse under composition; f_cube is
 its own compositional inverse.
@@ -66,10 +66,6 @@ class TPoly:
     def const(cls, c) -> "TPoly":
         return cls((c,))
 
-    @classmethod
-    def t(cls) -> "TPoly":
-        return cls((0, 1))
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -80,24 +76,14 @@ class TPoly:
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
-    def __add__(self, other: "TPoly") -> "TPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        return TPoly(tuple(c + b[i] if i < len(b) else c for i, c in enumerate(a)))
-
-    def __sub__(self, other: "TPoly") -> "TPoly":
-        return self + (-other)
-
     def __neg__(self) -> "TPoly":
         return TPoly(tuple(-c for c in self.coeffs))
 
     def __mul__(self, other) -> "TPoly":
-        if isinstance(other, (int, Fraction)):
-            return TPoly(tuple(c * other for c in self.coeffs))
-        out: list = []
-        _addmul(out, self.coeffs, other.coeffs)
-        return TPoly(out)
+        """The scalar multiple by an int or a Fraction."""
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        return TPoly(tuple(c * other for c in self.coeffs))
 
     __rmul__ = __mul__
 
@@ -151,8 +137,8 @@ def _scaled(acc: list, s) -> tuple:
 class TSeries:
     """Power series in x, truncated at a fixed order, TPoly coefficients.
 
-    Products, reciprocals, composition and inversion work on the raw
-    coefficient tuples of the TPolys and wrap the result once.
+    Composition and inversion work on the raw coefficient tuples of the
+    TPolys and wrap the result once.
     """
 
     __slots__ = ("order", "coeffs")
@@ -177,48 +163,12 @@ class TSeries:
     def _raw(self) -> list:
         return [c.coeffs for c in self.coeffs]
 
-    def _check(self, other: "TSeries") -> None:
-        if self.order != other.order:
-            raise ValueError("truncation orders differ")
-
-    def __neg__(self) -> "TSeries":
-        return TSeries(self.order, tuple(-a for a in self.coeffs))
-
-    def __mul__(self, other) -> "TSeries":
-        if isinstance(other, (int, Fraction, TPoly)):
-            p = other if isinstance(other, TPoly) else TPoly.const(other)
-            return TSeries(self.order, tuple(c * p for c in self.coeffs))
-        self._check(other)
-        return TSeries._from_raw(self.order, _series_mul(self._raw(), other._raw(), self.order))
-
-    __rmul__ = __mul__
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, TSeries)
             and self.order == other.order
             and self.coeffs == other.coeffs
         )
-
-    def shift_up(self) -> "TSeries":
-        """Multiply by x."""
-        return TSeries(self.order, (_ZERO,) + self.coeffs[:-1])
-
-    def reciprocal(self) -> "TSeries":
-        """Multiplicative inverse; the constant term must be a nonzero
-        rational constant (degree-0 TPoly)."""
-        c0 = self.coeffs[0]
-        if c0.is_zero() or c0.degree > 0:
-            raise ValueError("reciprocal needs a nonzero constant (in t) leading term")
-        inv0 = _exact(Fraction(1) / c0.coeffs[0])
-        a = self._raw()
-        out = [(inv0,)]
-        for n in range(1, self.order + 1):
-            acc: list = []
-            for k in range(1, n + 1):
-                _addmul(acc, a[k], out[n - k])
-            out.append(_scaled(acc, -inv0))
-        return TSeries._from_raw(self.order, out)
 
     def compose(self, g: "TSeries") -> "TSeries":
         """self(g(x)); g must have no constant term.
@@ -227,7 +177,8 @@ class TSeries:
         from the previous one; g^k starts at x^k, so the product
         g^(k-1) * g only touches the coefficients that can survive.
         """
-        self._check(g)
+        if self.order != g.order:
+            raise ValueError("truncation orders differ")
         if not g.coeffs[0].is_zero():
             raise ValueError("composition needs a series with zero constant term")
         n = self.order
@@ -303,37 +254,44 @@ def _series_mul(a: list, b: list, order: int) -> list:
 # =====================================================================
 
 
-def f_delta(order: int) -> TSeries:
-    """-x / ((1+x)(1+(1+t)x)); coefficient of x^n is (-1)^n ((1+t)^n-1)/t."""
-    one_plus_t = TPoly((1, 1))
-    d1 = TSeries(order, (_ONE, _ONE))
-    d2 = TSeries(order, (_ONE, one_plus_t))
-    return -(d1 * d2).reciprocal().shift_up()
-
-
-def f_cube(order: int) -> TSeries:
-    """-x / (1+(2+t)x); coefficient of x^n is (-1)^n (2+t)^(n-1)."""
-    den = TSeries(order, (_ONE, TPoly((2, 1))))
-    return -den.reciprocal().shift_up()
-
-
-def f_stasheff(order: int) -> TSeries:
-    """The root with f(0) = 0 of (1+t) x f^2 + (1+(2+t)x) f + x = 0.
+def _counting_series(order: int, quadratic) -> TSeries:
+    """The root with f(0) = 0 of (1 + (2+t)x) f + (1+t) q(f) + x = 0.
 
     Read at x^n this is the integer recurrence
-    f_n = -[n=1] - (2+t) f_(n-1) - (1+t) sum_{i+j=n-1} f_i f_j,
+    f_n = -[n=1] - (2+t) f_(n-1) - (1+t) [x^n] q(f),
+    where quadratic(f, n) is the raw [x^n] q(f), read from f_1..f_(n-1);
     so no square root and no division is needed.
     """
     f: list = [()] * (order + 1)
     for n in range(1, order + 1):
         acc: list = [-1] if n == 1 else []
         _addmul(acc, (-2, -1), f[n - 1])
-        conv: list = []
-        for i in range(1, n - 1):
-            _addmul(conv, f[i], f[n - 1 - i])
-        _addmul(acc, (-1, -1), conv)
+        _addmul(acc, (-1, -1), quadratic(f, n))
         f[n] = tuple(_strip(acc))
     return TSeries._from_raw(order, f)
+
+
+def _stasheff_square(f: list, n: int) -> list:
+    """[x^n] x f^2 = sum_{i+j=n-1} f_i f_j; f_0 = 0 drops the end terms."""
+    conv: list = []
+    for i in range(1, n - 1):
+        _addmul(conv, f[i], f[n - 1 - i])
+    return conv
+
+
+def f_delta(order: int) -> TSeries:
+    """-x / ((1+x)(1+(1+t)x)); coefficient of x^n is (-1)^n ((1+t)^n-1)/t."""
+    return _counting_series(order, lambda f, n: f[n - 2] if n > 1 else ())
+
+
+def f_cube(order: int) -> TSeries:
+    """-x / (1+(2+t)x); coefficient of x^n is (-1)^n (2+t)^(n-1)."""
+    return _counting_series(order, lambda f, n: ())
+
+
+def f_stasheff(order: int) -> TSeries:
+    """The root with f(0) = 0 of (1+t) x f^2 + (1+(2+t)x) f + x = 0."""
+    return _counting_series(order, _stasheff_square)
 
 
 def catalan_numbers(n: int) -> list[int]:
@@ -367,9 +325,8 @@ def series_identities_report(order: int = 12) -> dict:
         return p if n % 2 == 0 else -p
 
     def poly_formula_cube(n: int) -> TPoly:
-        p = _ONE
-        for _ in range(n - 1):
-            p = p * TPoly((2, 1))
+        # (-1)^n (2+t)^(n-1), whose t^d coefficient is binom(n-1, d) 2^(n-1-d)
+        p = TPoly(tuple(comb(n - 1, d) * 2 ** (n - 1 - d) for d in range(n)))
         return p if n % 2 == 0 else -p
 
     # |x^n coefficient| at t=0 counts the vertices of the n-th polytope,

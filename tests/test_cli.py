@@ -141,7 +141,8 @@ def test_dimensions_report_fails_on_a_perturbed_series(monkeypatch):
 
     def perturbed(order):
         coeffs = list(real(order).coeffs)
-        coeffs[4] = coeffs[4] + TPoly.const(1)
+        c4 = coeffs[4].coeffs
+        coeffs[4] = TPoly((c4[0] + 1,) + c4[1:])
         return TSeries(order, coeffs)
 
     monkeypatch.setattr(series_mod, "f_cube", perturbed)
@@ -404,6 +405,26 @@ def test_series_order_below_one_exits_2(capsys, fmt):
     assert "--order must be >= 1" in captured.err
 
 
+# sha256 of the concatenated stdout of `trioperad series --family F --order 16
+# --format X` and then `... --order 9 --format X --t-eval 1/2`, for F in delta,
+# stasheff, cube and X in json, csv, text; a change that alters the printed
+# series must update it on purpose
+SERIES_CLI_SHA256 = "403f50facd4d3e35bdb28a5e4cf15d9f156cfb7cfbeded084d20ebb197d34fef"
+
+
+def test_series_cli_output_is_pinned(capsys):
+    printed = []
+    for family in ("delta", "stasheff", "cube"):
+        for fmt in ("json", "csv", "text"):
+            for extra in ([], ["--t-eval", "1/2"]):
+                order = "9" if extra else "16"
+                argv = ["series", "--family", family, "--order", order, "--format", fmt]
+                assert run(argv + extra) == 0
+                printed.append(capsys.readouterr().out)
+    digest = hashlib.sha256("".join(printed).encode()).hexdigest()
+    assert digest == SERIES_CLI_SHA256
+
+
 # ------------------------------------------------------------- certify-all
 
 
@@ -440,3 +461,20 @@ def test_console_script_installed():
     )
     assert proc.returncode == 0
     assert "certify-all" in proc.stdout
+
+
+def test_closed_stdout_ends_quietly(tmp_path):
+    # `dend power --n 7` prints about 320 kB, more than a pipe buffer holds,
+    # so the process is still writing when its reader goes away
+    err_path = tmp_path / "err.txt"
+    with open(err_path, "w") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "trioperad.cli", "dend", "power", "--n", "7"],
+            stdout=subprocess.PIPE,
+            stderr=err,
+        )
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        code = proc.wait(timeout=60)
+    assert code == 1
+    assert err_path.read_text() == ""

@@ -53,10 +53,7 @@ def test_tpoly_basics():
 
 
 def test_tpoly_arithmetic():
-    t = TPoly.t()
-    p = (TPoly.const(1) + t) * (TPoly.const(1) + t)
-    assert p == TPoly((1, 2, 1))
-    assert p - p == TPoly(())
+    t = TPoly((0, 1))
     assert -t == TPoly((0, -1))
     assert 2 * t == TPoly((0, 2))
 
@@ -69,22 +66,6 @@ def test_tpoly_evaluate():
 
 
 # ----------------------------------------------------------------- TSeries
-
-
-def test_tseries_x_and_mul():
-    x = TSeries.x(4)
-    sq = x * x
-    assert sq.coeffs[2] == TPoly.const(1)
-    assert all(c.is_zero() for i, c in enumerate(sq.coeffs) if i != 2)
-
-
-def test_tseries_reciprocal():
-    # 1/(1-x) = 1 + x + x^2 + ...
-    one_minus_x = TSeries(5, (TPoly.const(1), TPoly.const(-1)))
-    inv = one_minus_x.reciprocal()
-    assert all(inv.coeffs[n] == TPoly.const(1) for n in range(6))
-    with pytest.raises(ValueError):
-        TSeries.x(3).reciprocal()
 
 
 def test_tseries_compose_and_invert():
@@ -101,12 +82,6 @@ def test_tseries_compose_and_invert():
 def test_tseries_invert_order_zero():
     with pytest.raises(ValueError, match="order >= 1"):
         TSeries(0).invert()
-
-
-def test_tseries_shift():
-    x = TSeries.x(4)
-    up = x.shift_up()
-    assert up.coeffs[2] == TPoly.const(1)
 
 
 # ------------------------------------------------------------ the series
