@@ -4,7 +4,10 @@ Three kinds of basis cells appear throughout the package:
 
 * ``SubsetCell`` -- a cell of the simplex with vertex set {1..n}, written
   ``{1,3}@4``; the nonempty subsets of {1..n} are the cells of the
-  (n-1)-simplex.
+  (n-1)-simplex.  A cell is stored as its n-bit mask (bit e-1 set iff
+  e is in the subset), so products, composition, faces and boundary are
+  bit operations; ``parse_subset_cell`` is the one place a literal is
+  validated.
 * ``PlanarTree`` -- a planar rooted tree whose internal vertices all have
   at least two children, written ``(|,(|,|))``; trees with n+1 leaves are
   the cells of the Stasheff polytope attached to arity n.
@@ -32,57 +35,78 @@ from .series import super_catalan_numbers
 
 @dataclass(frozen=True)
 class SubsetCell:
-    """Nonempty subset of {1..arity}, a cell of the (arity-1)-simplex."""
+    """Nonempty subset X of {1..arity}, a cell of the (arity-1)-simplex,
+    stored as the mask with bit e-1 set iff e is in X.  Only the range is
+    checked here; ``parse_subset_cell`` validates literals."""
 
     arity: int
-    elements: tuple[int, ...]
+    mask: int
 
     def __post_init__(self) -> None:
         if self.arity < 1:
             raise ValueError("arity must be >= 1")
-        elems = tuple(self.elements)
-        if not elems:
-            raise ValueError("cell must be a nonempty subset")
-        if list(elems) != sorted(set(elems)):
-            raise ValueError("elements must be strictly increasing")
-        if elems[0] < 1 or elems[-1] > self.arity:
-            raise ValueError(f"elements must lie in 1..{self.arity}")
-        object.__setattr__(self, "elements", elems)
+        if not isinstance(self.mask, int):
+            raise TypeError("mask must be an int bitmask; parse literals with parse_subset_cell")
+        if self.mask <= 0 or self.mask.bit_length() > self.arity:
+            raise ValueError(f"mask must select a nonempty subset of 1..{self.arity}")
+
+    @property
+    def elements(self) -> tuple[int, ...]:
+        # scan the binary digits for 1s from the lowest bit up: C-speed
+        # scans and one step per element, also for a sparse mask of huge arity
+        digits, out = bin(self.mask), []
+        p = digits.rfind("1")
+        while p >= 0:
+            out.append(len(digits) - p)
+            p = digits.rfind("1", 0, p)
+        return tuple(out)
 
     @property
     def degree(self) -> int:
-        return len(self.elements) - 1
+        return self.mask.bit_count() - 1
 
     def literal(self) -> str:
-        return "{" + ",".join(str(e) for e in self.elements) + "}@" + str(self.arity)
+        return "{" + ",".join(map(str, self.elements)) + "}@" + str(self.arity)
 
     def __str__(self) -> str:
         return self.literal()
 
 
-def parse_subset_cell(text: str) -> SubsetCell:
-    """Parse ``{1,3}@4`` (grammar: '{' int (',' int)* '}' '@' int)."""
+def parse_subset_cell(text: str, max_arity: int | None = None) -> SubsetCell:
+    """Parse ``{1,3}@4`` (grammar: '{' int (',' int)* '}' '@' int), the one
+    place a literal is validated.  The mask takes one bit per vertex, so
+    an arity above ``max_arity`` (if given) is refused before it is built.
+    """
     s = text.strip()
-    if not s.startswith("{") or "}@" not in s:
-        raise ValueError(f"bad cell literal {text!r} (grammar: {{i,j,...}}@n)")
-    body, _, arity_part = s[1:].partition("}@")
+    body, sep, arity_part = s[1:].partition("}@")
     try:
-        elems = tuple(int(p) for p in body.split(","))
+        if not (s.startswith("{") and sep):
+            raise ValueError
+        elems = [int(p) for p in body.split(",")] if body else []
         arity = int(arity_part)
     except ValueError:
         raise ValueError(f"bad cell literal {text!r} (grammar: {{i,j,...}}@n)") from None
-    return SubsetCell(arity, elems)
+    why = None
+    if arity < 1:
+        why = "arity must be >= 1"
+    elif max_arity is not None and arity > max_arity:
+        why = f"arity {arity} is above the cap {max_arity}"
+    elif not elems:
+        why = "cell must be a nonempty subset"
+    elif any(a >= b for a, b in zip(elems, elems[1:])):
+        why = "elements must be strictly increasing"
+    elif elems[0] < 1 or elems[-1] > arity:
+        why = f"elements must lie in 1..{arity}"
+    if why:
+        raise ValueError(f"bad cell literal {text!r}: {why} (grammar: {{i,j,...}}@n)")
+    return SubsetCell(arity, sum(1 << (e - 1) for e in elems))
 
 
 def enumerate_subset_cells(n: int) -> list[SubsetCell]:
     """All 2^n - 1 cells of the (n-1)-simplex, in ascending bitmask order."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    out = []
-    for mask in range(1, 1 << n):
-        elems = tuple(e for e in range(1, n + 1) if mask & (1 << (e - 1)))
-        out.append(SubsetCell(n, elems))
-    return out
+    return [SubsetCell(n, m) for m in range(1, 1 << n)]
 
 
 # =====================================================================

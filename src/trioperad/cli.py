@@ -37,11 +37,8 @@ from .series import TPoly, series_identities_report
 
 
 def _terms(lin: LinComb, key: str) -> list[dict]:
-    out = [
-        {"coeff": str(c), key: b.literal()}
-        for b, c in sorted(lin.items(), key=lambda bc: str(bc[0]))
-    ]
-    return out
+    terms = sorted((b.literal(), c) for b, c in lin)
+    return [{"coeff": str(c), key: text} for text, c in terms]
 
 
 def _emit_json(payload) -> None:
@@ -62,7 +59,8 @@ def _degree_counts(items) -> dict[int, int]:
 
 
 # The most cells `cells` enumerates, the most terms `dend power` sums,
-# and the most basis elements `complex build` assembles.
+# the most basis elements `complex build` assembles, and the largest
+# arity of a `tri` literal (its mask takes one bit per vertex).
 CELLS_CAP = 10**6
 
 
@@ -130,8 +128,8 @@ def _cmd_cells(args) -> int:
 
 
 def _cmd_tri_mul(args) -> int:
-    x = cells_mod.parse_subset_cell(args.x)
-    y = cells_mod.parse_subset_cell(args.y)
+    x = cells_mod.parse_subset_cell(args.x, max_arity=CELLS_CAP)
+    y = cells_mod.parse_subset_cell(args.y, max_arity=CELLS_CAP)
     result = trialgebra.CELL_OPS[args.op](x, y)
     _emit_json(
         {"op": args.op, "x": x.literal(), "y": y.literal(), "result": result.literal()}
@@ -140,7 +138,7 @@ def _cmd_tri_mul(args) -> int:
 
 
 def _cmd_tri_boundary(args) -> int:
-    x = cells_mod.parse_subset_cell(args.cell)
+    x = cells_mod.parse_subset_cell(args.cell, max_arity=CELLS_CAP)
     _emit_json(
         {"cell": x.literal(), "boundary": _terms(trialgebra.boundary(x), "cell")}
     )

@@ -111,13 +111,15 @@ _MIRRORED_SIMPLEX_TABLE = {
 
 def simplex_face_product(i: int, cell: SubsetCell, table=SIMPLEX_FACE_TABLE) -> str:
     """Which product merges factors i, i+1 over a simplex coefficient."""
-    return table[(i in cell.elements, (i + 1) in cell.elements)]
+    m = cell.mask >> (i - 1)
+    return table[(m & 1 == 1, m & 2 == 2)]
 
 
 def collapse_vertex(cell: SubsetCell, i: int) -> SubsetCell:
-    """Identify vertices i and i+1; duplicates collapse (set image)."""
-    elems = sorted({e if e <= i else e - 1 for e in cell.elements})
-    return SubsetCell(cell.arity - 1, tuple(elems))
+    """Identify vertices i and i+1; duplicates collapse (set image): the
+    bits of 1..i stay, those of i+1.. move down by one."""
+    low = cell.mask & ((1 << i) - 1)
+    return SubsetCell(cell.arity - 1, low | cell.mask >> i << (i - 1))
 
 
 def simplex_face(table=SIMPLEX_FACE_TABLE):

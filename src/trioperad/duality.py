@@ -7,7 +7,9 @@ pairing matches the generators positionally::
 
     left <-> prec      right <-> succ      mid <-> mid
 
-and weighs slot-1 composites with +1 and slot-2 composites with -1.
+and weighs slot-1 composites with +1 and slot-2 composites with -1.  This
+pairing is pinned: it is the paper's, and no other sign convention is
+tried, so a scheme that fails under it fails the certificate.
 ``certify_duality`` verifies that the 11-dimensional relation span of the
 simplex-cell algebra and the 7-dimensional relation span of the tree
 algebra annihilate each other and are exact orthogonal complements, and
@@ -83,35 +85,29 @@ def negative_control_scheme() -> Scheme:
     return replace(TRIALGEBRA_SCHEME, rows=tuple(rows))
 
 
-def _slot_weights(convention) -> list[int]:
-    return [convention[0]] * 9 + [convention[1]] * 9
+# the pairing weight of each of the 18 coordinates: +1 in slot 1, -1 in slot 2
+_SLOT_WEIGHTS = [1] * 9 + [-1] * 9
 
 
-def duality_pairing(u: list[int], v: list[int], convention=(1, -1)) -> int:
-    """Diagonal pairing: slot-1 coordinates weigh convention[0], slot-2
-    coordinates convention[1]; generators are identified positionally."""
-    return sum(w * a * b for w, a, b in zip(_slot_weights(convention), u, v, strict=True))
+def duality_pairing(u: list[int], v: list[int]) -> int:
+    """Diagonal pairing: slot-1 coordinates weigh +1, slot-2 coordinates
+    -1; generators are identified positionally."""
+    return sum(w * a * b for w, a, b in zip(_SLOT_WEIGHTS, u, v, strict=True))
 
 
-def _pairing_matrix(us, vs, convention):
-    return [[duality_pairing(u, v, convention) for v in vs] for u in us]
+def _pairing_matrix(us, vs):
+    return [[duality_pairing(u, v) for v in vs] for u in us]
 
 
-def _gram(convention) -> list[list[int]]:
-    w = _slot_weights(convention)
-    return [[w[i] if i == j else 0 for j in range(DIMENSION)] for i in range(DIMENSION)]
-
-
-def _complement_matches(tri_vecs, dend_vecs, convention) -> bool:
+def _complement_matches(tri_vecs, dend_vecs) -> bool:
     """span(dend_vecs) is the whole annihilator of span(tri_vecs).
 
     The annihilator is the kernel of tri_vecs . G (G the diagonal Gram
     matrix of slot weights), of dimension 18 - rank(tri_vecs . G).  A span
     that pairs to zero against tri_vecs and has that dimension is it.
     """
-    w = _slot_weights(convention)
-    weighted = [[wi * v for wi, v in zip(w, vec)] for vec in tri_vecs]
-    pairing = _pairing_matrix(tri_vecs, dend_vecs, convention)
+    weighted = [[wi * v for wi, v in zip(_SLOT_WEIGHTS, vec)] for vec in tri_vecs]
+    pairing = _pairing_matrix(tri_vecs, dend_vecs)
     orthogonal = all(v == 0 for row in pairing for v in row)
     return orthogonal and rank(dend_vecs) == DIMENSION - rank(weighted)
 
@@ -140,37 +136,25 @@ def _associative_diagonal_report(tri_vecs, dend_vecs) -> dict:
 
 
 def certify_duality() -> dict:
-    """Full duality certificate; see the module docstring.
-
-    Tries the slot-sign conventions (+,-), (+,+), (-,+) in that order and
-    certifies under the first one that makes the two relation spans
-    annihilate each other.  Includes a negative control: perturbing one
-    relation must break orthogonality.
+    """Full duality certificate under the pinned pairing; see the module
+    docstring.  Includes a negative control: perturbing one relation must
+    break orthogonality.
     """
     tri_vecs = trialgebra_relation_vectors()
     dend_vecs = dendriform_relation_vectors()
     rank_tri = rank(tri_vecs)
     rank_dend = rank(dend_vecs)
 
-    chosen = None
-    matrix = None
-    for convention in [(1, -1), (1, 1), (-1, 1)]:
-        m = _pairing_matrix(tri_vecs, dend_vecs, convention)
-        if all(v == 0 for row in m for v in row):
-            chosen, matrix = convention, m
-            break
-    if chosen is None:
-        # keep the primary convention's matrix as evidence of the failure
-        chosen = (1, -1)
-        matrix = _pairing_matrix(tri_vecs, dend_vecs, chosen)
+    matrix = _pairing_matrix(tri_vecs, dend_vecs)
     orthogonal = all(v == 0 for row in matrix for v in row)
 
-    complement_matches = _complement_matches(tri_vecs, dend_vecs, chosen)
-    nondegenerate = rank(_gram(chosen)) == DIMENSION
+    complement_matches = _complement_matches(tri_vecs, dend_vecs)
+    gram = [[w if i == j else 0 for j in range(DIMENSION)] for i, w in enumerate(_SLOT_WEIGHTS)]
+    nondegenerate = rank(gram) == DIMENSION
 
     # negative control: a perturbed relation must pair nonzero somewhere
     perturbed_vecs = relation_vectors(negative_control_scheme())
-    control = _pairing_matrix(perturbed_vecs, dend_vecs, chosen)
+    control = _pairing_matrix(perturbed_vecs, dend_vecs)
     control_breaks = any(v != 0 for row in control for v in row)
 
     diagonal = _associative_diagonal_report(tri_vecs, dend_vecs)
@@ -189,7 +173,7 @@ def certify_duality() -> dict:
     return {
         "passed": passed,
         "dimension": DIMENSION,
-        "pairing_convention": list(chosen),
+        "pairing_convention": [1, -1],
         "rank_trialgebra_relations": rank_tri,
         "rank_dendriform_relations": rank_dend,
         "orthogonal": orthogonal,

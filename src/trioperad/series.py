@@ -1,12 +1,12 @@
 """Exact generating series in x with polynomial-in-t coefficients.
 
-``TPoly`` is a polynomial in t over the rationals; ``TSeries`` is a
-truncated power series in x whose coefficients are TPolys.  Everything is
-exact.  Coefficients are stored as ``int`` and become ``Fraction`` only
-where a value is truly non-integral (a rational scalar, evaluation at a
-rational t, the ``invert`` of a series whose linear term is not +-1).
-Every coefficient of the three cell-counting series is an integer, so
-building them, composing them and inverting them runs on integers alone.
+``TPoly`` is a polynomial in t; ``TSeries`` is a truncated power series in
+x whose coefficients are TPolys.  Everything is exact.  Every coefficient
+of the three cell-counting series is an integer, and building them,
+composing them and inverting them (``invert`` takes a linear coefficient
+of +-1 only) runs on integers alone.  ``Fraction`` appears only at the
+API edge: ``TPoly.evaluate`` at a rational t (the ``--t-eval`` option)
+and the scalar ``TPoly.__mul__`` by a rational.
 
 The three cell-counting series are the roots with f(0) = 0 of one
 equation, (1 + (2+t)x) f + (1+t) q(f) + x = 0, and differ only in q(f):
@@ -24,14 +24,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
-
-
-def _exact(c):
-    """c as an int when it is integral, else as a Fraction."""
-    if type(c) is int:
-        return c
-    c = Fraction(c)
-    return c.numerator if c.denominator == 1 else c
 
 
 def _strip(cs: list) -> list:
@@ -54,13 +46,13 @@ def _addmul(acc: list, a, b) -> None:
 
 
 class TPoly:
-    """Polynomial in t with exact coefficients (int where integral,
-    Fraction otherwise), trailing zeros stripped."""
+    """Polynomial in t with exact coefficients, stored as given, trailing
+    zeros stripped."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        self.coeffs = tuple(_strip([_exact(c) for c in coeffs]))
+        self.coeffs = tuple(_strip(list(coeffs)))
 
     @classmethod
     def const(cls, c) -> "TPoly":
@@ -88,13 +80,15 @@ class TPoly:
     __rmul__ = __mul__
 
     def evaluate(self, q):
-        """The value at t = q, exact: an int when q and the value are
-        integral, a Fraction otherwise."""
-        q = _exact(q)
+        """The value at t = q, exact: an int when the value is integral, a
+        Fraction otherwise."""
+        if not isinstance(q, int):
+            q = Fraction(q)
         val = 0
         for c in reversed(self.coeffs):
             val = val * q + c
-        return _exact(val)
+        val = Fraction(val)
+        return val.numerator if val.denominator == 1 else val
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, TPoly) and self.coeffs == other.coeffs
@@ -127,11 +121,6 @@ class TPoly:
 
 _ZERO = TPoly()
 _ONE = TPoly((1,))
-
-
-def _scaled(acc: list, s) -> tuple:
-    """The raw coefficients s*acc, trailing zeros stripped."""
-    return tuple(_strip([_exact(c * s) for c in acc]))
 
 
 class TSeries:
@@ -195,7 +184,8 @@ class TSeries:
 
     def invert(self) -> "TSeries":
         """Compositional inverse; needs zero constant term and a linear
-        coefficient that is a nonzero rational constant (here always +-1).
+        coefficient of 1 or -1, each its own inverse, so the inverse has
+        integer coefficients too.
 
         Solves self(g) = x one coefficient at a time while building the
         powers of g alongside (the compose above, run online): [x^m] g^k
@@ -206,13 +196,12 @@ class TSeries:
             raise ValueError("compositional inverse needs order >= 1")
         if not self.coeffs[0].is_zero():
             raise ValueError("compositional inverse needs zero constant term")
-        c1 = self.coeffs[1]
-        if c1.is_zero() or c1.degree > 0:
-            raise ValueError("linear coefficient must be a nonzero constant in t")
+        c1 = self.coeffs[1].coeffs
+        if c1 not in ((1,), (-1,)):
+            raise ValueError("compositional inverse needs a linear coefficient of 1 or -1")
         n = self.order
         f = self._raw()
-        inv_c1 = _exact(Fraction(1) / c1.coeffs[0])
-        g = [(), (inv_c1,)] + [()] * (n - 1)
+        g = [(), c1] + [()] * (n - 1)
         # powers[k][m] = [x^m] g^k; powers[1] is g itself, filled as it grows
         powers = [None, g] + [[()] * (n + 1) for _ in range(n - 1)]
         for m in range(2, n + 1):
@@ -224,7 +213,8 @@ class TSeries:
                     _addmul(pk, g[j], prev[m - j])
                 powers[k][m] = tuple(_strip(pk))
                 _addmul(acc, f[k], powers[k][m])
-            g[m] = _scaled(acc, -inv_c1)
+            # g_m = -acc / c1, and c1 is its own inverse
+            g[m] = tuple(_strip([-c1[0] * c for c in acc]))
         return TSeries._from_raw(n, g)
 
     def evaluate_t(self, q) -> list:

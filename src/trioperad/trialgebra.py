@@ -26,7 +26,7 @@ from .cells import SubsetCell, compositions, enumerate_subset_cells
 from .linear import LinComb, as_lincomb
 from .relations import Scheme, check_scheme, require_bound
 
-OPERAD_UNIT = SubsetCell(1, (1,))
+OPERAD_UNIT = SubsetCell(1, 1)
 
 
 # =====================================================================
@@ -37,23 +37,22 @@ OPERAD_UNIT = SubsetCell(1, (1,))
 def gamma(outer: SubsetCell, args: "list[SubsetCell] | tuple[SubsetCell, ...]") -> SubsetCell:
     """Operadic composition: plug one cell per slot of ``outer``.
 
-    Needs exactly ``outer.arity`` arguments; the result keeps the
-    arguments sitting in the slots ``outer`` selects, with vertex numbers
-    shifted past the earlier slots.
+    Needs exactly ``outer.arity`` arguments; the result ORs the masks of
+    the arguments sitting in the slots ``outer`` selects, each shifted
+    past the earlier slots.
     """
-    args = tuple(args)
     if len(args) != outer.arity:
         raise ValueError(
             f"gamma needs {outer.arity} arguments for {outer}, got {len(args)}"
         )
-    offsets = [0] * (outer.arity + 1)
-    for j, a in enumerate(args, start=1):
-        offsets[j] = offsets[j - 1] + a.arity
-    total = offsets[-1]
-    elems: list[int] = []
-    for j in outer.elements:
-        elems.extend(e + offsets[j - 1] for e in args[j - 1].elements)
-    return SubsetCell(total, tuple(elems))
+    selected = outer.mask
+    mask = shift = 0
+    for a in args:
+        if selected & 1:
+            mask |= a.mask << shift
+        selected >>= 1
+        shift += a.arity
+    return SubsetCell(shift, mask)
 
 
 def check_operad_axioms(max_arity: int) -> dict:
@@ -120,20 +119,17 @@ def check_operad_axioms(max_arity: int) -> dict:
 
 def left_cell(x: SubsetCell, y: SubsetCell) -> SubsetCell:
     """x -| y : keep x's subset inside the juxtaposed vertex set."""
-    return SubsetCell(x.arity + y.arity, x.elements)
+    return SubsetCell(x.arity + y.arity, x.mask)
 
 
 def right_cell(x: SubsetCell, y: SubsetCell) -> SubsetCell:
     """x |- y : keep y's subset, shifted past x."""
-    return SubsetCell(x.arity + y.arity, tuple(e + x.arity for e in y.elements))
+    return SubsetCell(x.arity + y.arity, y.mask << x.arity)
 
 
 def mid_cell(x: SubsetCell, y: SubsetCell) -> SubsetCell:
     """x -|- y : union of x's subset and y's shifted subset."""
-    return SubsetCell(
-        x.arity + y.arity,
-        x.elements + tuple(e + x.arity for e in y.elements),
-    )
+    return SubsetCell(x.arity + y.arity, x.mask | y.mask << x.arity)
 
 
 CELL_OPS = {"left": left_cell, "right": right_cell, "mid": mid_cell}
@@ -197,14 +193,18 @@ def check_trialgebra_relations(max_arity: int) -> dict:
 
 
 def boundary_cell(x: SubsetCell) -> LinComb:
-    """Alternating sum over one-element deletions; empty results dropped."""
-    elems = x.elements
-    if len(elems) == 1:
+    """Alternating sum over one-element deletions; empty results dropped.
+    Deleting the element of rank r (0-based) clears its bit, with sign
+    (-1)^r."""
+    mask = rest = x.mask
+    if mask & (mask - 1) == 0:
         return LinComb()
-    return LinComb(
-        (SubsetCell(x.arity, elems[:r] + elems[r + 1 :]), (-1) ** r)
-        for r in range(len(elems))
-    )
+    terms = []
+    while rest:
+        low = rest & -rest
+        terms.append((SubsetCell(x.arity, mask ^ low), (-1) ** len(terms)))
+        rest ^= low
+    return LinComb(terms)
 
 
 def boundary(x) -> LinComb:
@@ -321,8 +321,7 @@ def check_dg_rules(max_arity: int) -> dict:
                             }
     by_name = {e["name"]: e for e in results}
     signed_mid = {name: fn for name, _, fn in variants}["mid_koszul_signed"]
-    gen = SubsetCell(1, (1,))
-    gen_lhs, gen_rhs = signed_mid(gen, gen)
+    gen_lhs, gen_rhs = signed_mid(OPERAD_UNIT, OPERAD_UNIT)
     mid_variants = [e for e in results if "mid" in e["name"]]
     universal_mid = [e["name"] for e in mid_variants if e["holds"]]
     discovery_passed = (

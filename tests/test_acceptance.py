@@ -36,7 +36,7 @@ from trioperad.trialgebra import (
     check_trialgebra_relations,
     tri_right,
 )
-from trioperad.cells import LeafOrientation, SubsetCell
+from trioperad.cells import LeafOrientation, parse_subset_cell
 
 
 def report(criterion: str, passed: bool, detail: str) -> None:
@@ -207,8 +207,8 @@ def test_criterion_09b_right_rule_with_koszul_sign_universal():
     dg = check_dg_rules(6)
     rules = {r["name"]: r for r in dg["rules"]}
     signed, unsigned = rules["right_koszul_signed"], rules["right_unsigned"]
-    y = SubsetCell(2, (1, 2))
-    x_vertex, x_edge = SubsetCell(2, (1,)), SubsetCell(2, (1, 2))
+    y = parse_subset_cell("{1,2}@2")
+    x_vertex, x_edge = parse_subset_cell("{1}@2"), parse_subset_cell("{1,2}@2")
 
     def claimed_rhs(x):
         return (-1) ** x.degree * tri_right(x, boundary(y))

@@ -31,22 +31,24 @@ CUBE_COUNTS = {n: 3 ** (n - 1) for n in range(1, 8)}
 
 
 def test_subset_cell_fields():
-    c = SubsetCell(4, (1, 3))
+    c = SubsetCell(4, 0b101)
     assert c.arity == 4
+    assert c.mask == 0b101
     assert c.elements == (1, 3)
     assert c.degree == 1
     assert c.literal() == "{1,3}@4"
+    assert parse_subset_cell("{1,3}@4") == c
 
 
 def test_subset_cell_validation():
     with pytest.raises(ValueError):
-        SubsetCell(2, ())
+        SubsetCell(2, 0)
     with pytest.raises(ValueError):
-        SubsetCell(2, (3,))
+        SubsetCell(2, 0b100)
     with pytest.raises(ValueError):
-        SubsetCell(3, (2, 1))
-    with pytest.raises(ValueError):
-        SubsetCell(0, (1,))
+        SubsetCell(0, 1)
+    with pytest.raises(TypeError, match="mask.*parse_subset_cell"):
+        SubsetCell(3, (1, 2))
 
 
 def test_subset_parse_roundtrip():
@@ -55,9 +57,37 @@ def test_subset_parse_roundtrip():
 
 
 def test_subset_parse_errors_cite_grammar():
-    for bad in ("{1}", "1@2", "{}@2", "{1;2}@2"):
+    for bad in (
+        "{1}",
+        "1@2",
+        "{}@2",
+        "{1;2}@2",
+        "{2,1}@3",
+        "{1,1}@3",
+        "{1}@0",
+        "{-1}@2",
+        "{3}@2",
+    ):
         with pytest.raises(ValueError, match="grammar"):
             parse_subset_cell(bad)
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        # checked in this order: arity, nonempty, increasing, range
+        ("{5,1}@0", "arity must be >= 1"),
+        ("{1}@9", "arity 9 is above the cap 8"),
+        ("{}@2", "cell must be a nonempty subset"),
+        ("{3,2}@2", "elements must be strictly increasing"),
+        ("{2,1}@3", "elements must be strictly increasing"),
+        ("{0,3}@2", "elements must lie in 1..2"),
+    ],
+)
+def test_subset_parse_error_messages(text, reason):
+    with pytest.raises(ValueError) as info:
+        parse_subset_cell(text, max_arity=8)
+    assert str(info.value) == f"bad cell literal {text!r}: {reason} (grammar: {{i,j,...}}@n)"
 
 
 def test_enumerate_subset_cells_pinned_order():

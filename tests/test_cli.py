@@ -201,6 +201,25 @@ def test_tri_parse_error_exits_2(capsys):
     assert "grammar" in err
 
 
+def test_tri_literal_arity_cap(capsys):
+    # a cell's mask takes one bit per vertex: CELLS_CAP bounds a literal's arity
+    assert CELLS_CAP == 10**6
+    code, payload = run_json(capsys, ["tri", "mul", "--op", "right", "{1}@1000000", "{1}@1"])
+    assert code == 0
+    assert payload["result"] == "{1000001}@1000001"
+    for argv in (
+        ["tri", "mul", "--op", "right", "{1}@1000001", "{1}@1"],
+        ["tri", "mul", "--op", "right", "{1}@99999999999999999", "{1}@1"],
+        ["tri", "boundary", "{1}@99999999999999999"],
+    ):
+        code = run(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "above the cap 1000000" in captured.err
+        assert "grammar" in captured.err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

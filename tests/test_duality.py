@@ -98,7 +98,7 @@ def test_relation_statements_listed():
 def test_complement_matches_the_two_schemes():
     tri = trialgebra_relation_vectors()
     dend = dendriform_relation_vectors()
-    assert _complement_matches(tri, dend, (1, -1))
+    assert _complement_matches(tri, dend)
 
 
 def test_complement_rejects_a_dropped_dendriform_vector():
@@ -107,9 +107,9 @@ def test_complement_rejects_a_dropped_dendriform_vector():
     dend = dendriform_relation_vectors()[:-1]
     assert rank(dend) == 6
     assert all(duality_pairing(u, v) == 0 for u in tri for v in dend)
-    assert not _complement_matches(tri, dend, (1, -1))
+    assert not _complement_matches(tri, dend)
 
 
 def test_complement_rejects_the_negative_control():
     perturbed = relation_vectors(negative_control_scheme())
-    assert not _complement_matches(perturbed, dendriform_relation_vectors(), (1, -1))
+    assert not _complement_matches(perturbed, dendriform_relation_vectors())

@@ -84,6 +84,12 @@ def test_tseries_invert_order_zero():
         TSeries(0).invert()
 
 
+def test_tseries_invert_needs_a_unit_linear_coefficient():
+    # only 1 and -1 are their own inverses: the inverse stays integral
+    with pytest.raises(ValueError, match="1 or -1"):
+        TSeries(4, (0, 2)).invert()
+
+
 # ------------------------------------------------------------ the series
 
 
