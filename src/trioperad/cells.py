@@ -10,7 +10,8 @@ Three kinds of basis cells appear throughout the package:
   validated.
 * ``PlanarTree`` -- a planar rooted tree whose internal vertices all have
   at least two children, written ``(|,(|,|))``; trees with n+1 leaves are
-  the cells of the Stasheff polytope attached to arity n.
+  the cells of the Stasheff polytope attached to arity n.  There is one
+  instance per tree, so tree equality is identity.
 * ``CubeCell`` -- a word over {0,1,*}, written ``0*1``; words of length
   n-1 are the cells of the (n-1)-cube.
 
@@ -118,15 +119,19 @@ class PlanarTree:
     """Planar rooted tree; every internal vertex has >= 2 children.
 
     The one-leaf tree is ``LEAF`` (children == ()); everything else is a
-    node built by ``graft``.  Instances are immutable and hashable.
+    node built by ``graft``.  One instance per tree: equality is identity.
     """
 
-    __slots__ = ("children", "leaves", "vertices", "_hash")
+    __slots__ = ("children", "leaves", "vertices")
 
-    def __init__(self, children: tuple["PlanarTree", ...] = ()):
+    def __new__(cls, children: tuple["PlanarTree", ...] = ()) -> "PlanarTree":
         children = tuple(children)
+        known = _TREES.get(children)
+        if known is not None:
+            return known
         if len(children) == 1:
             raise ValueError("internal vertices need >= 2 children")
+        self = super().__new__(cls)
         self.children = children
         if children:
             self.leaves = sum(c.leaves for c in children)
@@ -134,7 +139,12 @@ class PlanarTree:
         else:
             self.leaves = 1
             self.vertices = 0
-        self._hash = hash(("tree",) + children)
+        # setdefault, so two constructors racing on one tree return one object
+        return _TREES.setdefault(children, self)
+
+    def __reduce__(self):
+        # the default copy would get LEAF from __new__() and overwrite it
+        return (PlanarTree, (self.children,))
 
     @property
     def is_leaf(self) -> bool:
@@ -156,16 +166,8 @@ class PlanarTree:
     def __repr__(self) -> str:
         return f"PlanarTree[{self.literal()}]"
 
-    def __hash__(self) -> int:
-        return self._hash
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            self is other
-            or (isinstance(other, PlanarTree) and self.children == other.children)
-        )
-
-
+_TREES: dict[tuple, PlanarTree] = {}  # children tuple -> the one tree with them
 LEAF = PlanarTree()
 
 

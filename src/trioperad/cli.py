@@ -63,6 +63,10 @@ def _degree_counts(items) -> dict[int, int]:
 # arity of a `tri` literal (its mask takes one bit per vertex).
 CELLS_CAP = 10**6
 
+# The highest `series --order`: the stasheff series grows steeply with the
+# order (about 0.7 s at 100 and 10 s at 200 on a shared 2-vCPU VM).
+SERIES_ORDER_CAP = 100
+
 
 def _over_cap(family: str, arity: int) -> bool:
     """Whether the family has more than CELLS_CAP cells at arity >= 1.
@@ -139,6 +143,13 @@ def _cmd_tri_mul(args) -> int:
 
 def _cmd_tri_boundary(args) -> int:
     x = cells_mod.parse_subset_cell(args.cell, max_arity=CELLS_CAP)
+    # k terms, each an n-bit mask printed with k - 1 elements
+    k, n = x.mask.bit_count(), x.arity
+    if k * (k + n) > 4 * CELLS_CAP:
+        raise ValueError(
+            f"the boundary of a {k}-element cell at arity {n} is too large: "
+            f"k*(k + n) = {k * (k + n)} is above 4*CELLS_CAP = {4 * CELLS_CAP}"
+        )
     _emit_json(
         {"cell": x.literal(), "boundary": _terms(trialgebra.boundary(x), "cell")}
     )
@@ -216,6 +227,11 @@ def _cmd_complex_build(args) -> int:
 def _cmd_series(args) -> int:
     if args.order < 1:
         raise ValueError(f"--order must be >= 1, got {args.order}")
+    if args.order > SERIES_ORDER_CAP:
+        raise ValueError(
+            f"--order {args.order} is above SERIES_ORDER_CAP = {SERIES_ORDER_CAP}; "
+            "use a smaller --order"
+        )
     try:
         q = None if args.t_eval is None else Fraction(args.t_eval)
     except (ValueError, ZeroDivisionError):

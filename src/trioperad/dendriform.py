@@ -68,9 +68,7 @@ def _bilinear(tree_fn, allow_leaf: bool):
     def op(x, y) -> LinComb:
         xs, ys = as_lincomb(x), as_lincomb(y)
         # a leaf is rejected whenever it would meet a partner
-        if not allow_leaf and xs and ys and any(
-            b.is_leaf for b in (*xs.support(), *ys.support())
-        ):
+        if not allow_leaf and xs and ys and (LEAF in xs.support() or LEAF in ys.support()):
             raise ValueError(
                 "the one-leaf tree is a unit for star only, "
                 "not an argument of prec/succ/mid"

@@ -99,16 +99,15 @@ def _pairing_matrix(us, vs):
     return [[duality_pairing(u, v) for v in vs] for u in us]
 
 
-def _complement_matches(tri_vecs, dend_vecs) -> bool:
-    """span(dend_vecs) is the whole annihilator of span(tri_vecs).
+def _complement_matches(tri_vecs, dend_vecs, orthogonal: bool) -> bool:
+    """span(dend_vecs) is the whole annihilator of span(tri_vecs), given
+    whether the two spans pair to zero (``orthogonal``).
 
     The annihilator is the kernel of tri_vecs . G (G the diagonal Gram
     matrix of slot weights), of dimension 18 - rank(tri_vecs . G).  A span
     that pairs to zero against tri_vecs and has that dimension is it.
     """
     weighted = [[wi * v for wi, v in zip(_SLOT_WEIGHTS, vec)] for vec in tri_vecs]
-    pairing = _pairing_matrix(tri_vecs, dend_vecs)
-    orthogonal = all(v == 0 for row in pairing for v in row)
     return orthogonal and rank(dend_vecs) == DIMENSION - rank(weighted)
 
 
@@ -148,9 +147,9 @@ def certify_duality() -> dict:
     matrix = _pairing_matrix(tri_vecs, dend_vecs)
     orthogonal = all(v == 0 for row in matrix for v in row)
 
-    complement_matches = _complement_matches(tri_vecs, dend_vecs)
-    gram = [[w if i == j else 0 for j in range(DIMENSION)] for i, w in enumerate(_SLOT_WEIGHTS)]
-    nondegenerate = rank(gram) == DIMENSION
+    complement_matches = _complement_matches(tri_vecs, dend_vecs, orthogonal)
+    # a diagonal form is nondegenerate iff no weight is zero
+    nondegenerate = all(_SLOT_WEIGHTS)
 
     # negative control: a perturbed relation must pair nonzero somewhere
     perturbed_vecs = relation_vectors(negative_control_scheme())

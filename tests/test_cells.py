@@ -1,11 +1,17 @@
 """Basis cells: simplex subsets, planar trees, cube words."""
 
+import copy
+import operator
+import pickle
+
 import pytest
 
 from trioperad.cells import (
+    _TREES,
     LEAF,
     CubeCell,
     LeafOrientation,
+    PlanarTree,
     SubsetCell,
     cell_count,
     compositions,
@@ -181,6 +187,39 @@ def test_remove_leaf_errors():
         remove_leaf(parse_tree("(|,|)"), 3)
 
 
+# ----------------------------------------------------------- hash-consing
+
+
+@pytest.mark.parametrize(
+    "rebuild",
+    [copy.copy, copy.deepcopy, lambda t: pickle.loads(pickle.dumps(t))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_copies_are_the_tree_itself(rebuild):
+    for n in range(1, 6):
+        for t in enumerate_planar_trees(n):
+            assert rebuild(t) is t
+    assert LEAF.children == ()
+    assert LEAF.leaves == 1
+
+
+def test_single_child_is_refused_before_interning():
+    size = len(_TREES)
+    with pytest.raises(ValueError, match=">= 2 children"):
+        PlanarTree((LEAF,))
+    assert len(_TREES) == size
+    assert (LEAF,) not in _TREES
+
+
+def test_remove_leaf_returns_the_enumerated_trees():
+    for n in range(2, 7):
+        lower = {u.literal(): u for u in enumerate_planar_trees(n - 1)}
+        for t in enumerate_planar_trees(n):
+            for i in range(1, n + 1):
+                r = remove_leaf(t, i)
+                assert r is lower[r.literal()]
+
+
 # ------------------------------------------------------------------ cubes
 
 
@@ -215,20 +254,21 @@ def test_cell_count_rejects_arity_below_one(family):
 
 
 @pytest.mark.parametrize(
-    "enumerate_cells, parse, top",
+    "enumerate_cells, parse, top, same",
     [
-        (enumerate_planar_trees, parse_tree, 7),  # leaves
-        (enumerate_subset_cells, parse_subset_cell, 8),
-        (enumerate_cube_cells, parse_cube_cell, 6),
+        # leaves; a tree is hash-consed, so parsing returns the object itself
+        (enumerate_planar_trees, parse_tree, 7, operator.is_),
+        (enumerate_subset_cells, parse_subset_cell, 8, operator.eq),
+        (enumerate_cube_cells, parse_cube_cell, 6, operator.eq),
     ],
     ids=["tree", "subset", "cube"],
 )
-def test_parse_inverts_literal(enumerate_cells, parse, top):
+def test_parse_inverts_literal(enumerate_cells, parse, top, same):
     # exhaustive: every tree with <= 7 leaves, every subset cell of arity
     # <= 8, every cube word of arity <= 6
     for n in range(1, top + 1):
         for x in enumerate_cells(n):
-            assert parse(x.literal()) == x
+            assert same(parse(x.literal()), x)
 
 
 # ----------------------------------------------------------- compositions

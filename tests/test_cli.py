@@ -11,7 +11,15 @@ from trioperad import cells as cells_mod
 from trioperad import complexes as complexes_mod
 from trioperad import dendriform as dendriform_mod
 from trioperad import series as series_mod
-from trioperad.cli import CELLS_CAP, _cells_for, _dimensions_report, certify_all, run
+from trioperad import trialgebra as trialgebra_mod
+from trioperad.cli import (
+    CELLS_CAP,
+    SERIES_ORDER_CAP,
+    _cells_for,
+    _dimensions_report,
+    certify_all,
+    run,
+)
 from trioperad.linear import LinComb
 from trioperad.series import TPoly, TSeries
 
@@ -170,6 +178,31 @@ def test_tri_boundary(capsys):
         {"coeff": "-1", "cell": "{1}@2"},
         {"coeff": "1", "cell": "{2}@2"},
     ]
+
+
+def test_tri_boundary_of_a_sparse_literal_at_the_arity_cap(capsys):
+    code, payload = run_json(capsys, ["tri", "boundary", "{1,2}@1000000"])
+    assert code == 0
+    assert payload["boundary"] == [
+        {"coeff": "-1", "cell": "{1}@1000000"},
+        {"coeff": "1", "cell": "{2}@1000000"},
+    ]
+
+
+@pytest.mark.parametrize(
+    "elements, arity",
+    # k = 1000 elements at n = 10^6, and k = n = 3162: k*(k + n) > 4*CELLS_CAP
+    [(range(999001, 1000001), 10**6), (range(1, 3163), 3162)],
+    ids=["k1000-n1000000", "k3162-n3162"],
+)
+def test_tri_boundary_over_cap_exits_2(capsys, monkeypatch, elements, arity):
+    _refuse(monkeypatch, trialgebra_mod, "boundary")
+    literal = "{" + ",".join(map(str, elements)) + "}@" + str(arity)
+    code = run(["tri", "boundary", literal])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"4*CELLS_CAP = {4 * CELLS_CAP}" in captured.err
 
 
 def test_tri_check_relations(capsys):
@@ -422,6 +455,33 @@ def test_series_order_below_one_exits_2(capsys, fmt):
     assert code == 2
     assert captured.out == ""
     assert "--order must be >= 1" in captured.err
+
+
+@pytest.mark.parametrize("family", ["delta", "stasheff", "cube"])
+def test_series_order_over_cap_exits_2(capsys, monkeypatch, family):
+    assert SERIES_ORDER_CAP == 100
+    _refuse(monkeypatch, series_mod, "f_delta", "f_stasheff", "f_cube")
+    code = run(["series", "--family", family, "--order", "101"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "SERIES_ORDER_CAP = 100" in captured.err
+
+
+def test_series_order_cap_boundary(monkeypatch):
+    started = []
+
+    class Reached(Exception):
+        pass
+
+    def record(order):
+        started.append(order)
+        raise Reached
+
+    monkeypatch.setattr(series_mod, "f_stasheff", record)
+    with pytest.raises(Reached):
+        run(["series", "--family", "stasheff", "--order", "100"])
+    assert started == [100]
 
 
 # sha256 of the concatenated stdout of `trioperad series --family F --order 16

@@ -73,6 +73,10 @@ def test_leaf_rejected_by_partial_products():
             op(LEAF, A)
         with pytest.raises(ValueError, match="unit for star only"):
             op(A, LEAF)
+        # a leaf anywhere in a combination's support, but only with a partner
+        with pytest.raises(ValueError, match="unit for star only"):
+            op(A, lc("(|,|,|)", "|"))
+        assert op(LEAF, LinComb()) == LinComb()
 
 
 def test_products_add_weights():
@@ -81,6 +85,17 @@ def test_products_add_weights():
     for name in ("prec", "succ", "mid", "star"):
         for t, _ in DEND_OPS[name](x, y):
             assert t.leaves == x.leaves + y.leaves - 1
+
+
+def test_product_terms_are_the_enumerated_trees():
+    # trees are hash-consed: every term is the enumerated object for its tree
+    enumerated = {t.literal(): t for n in range(1, 7) for t in enumerate_planar_trees(n)}
+    trees = [t for n in range(2, 6) for t in enumerate_planar_trees(n)]
+    pairs = [(x, y) for x in trees for y in trees if x.leaves + y.leaves <= 7]
+    for op in DEND_OPS.values():
+        for x, y in pairs:
+            for t, _ in op(x, y):
+                assert t is enumerated[t.literal()]
 
 
 # -------------------------------------------------------------- relations
