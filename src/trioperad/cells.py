@@ -34,22 +34,48 @@ from .series import super_catalan_numbers
 # =====================================================================
 
 
-@dataclass(frozen=True)
+# stores the two fields of a SubsetCell, whose own __setattr__ refuses
+_set_field = object.__setattr__
+
+
 class SubsetCell:
     """Nonempty subset X of {1..arity}, a cell of the (arity-1)-simplex,
     stored as the mask with bit e-1 set iff e is in X.  Only the range is
-    checked here; ``parse_subset_cell`` validates literals."""
+    checked here; ``parse_subset_cell`` validates literals.  Immutable:
+    equal cells (same arity and mask) hash equal."""
 
-    arity: int
-    mask: int
+    __slots__ = ("arity", "mask")
 
-    def __post_init__(self) -> None:
-        if self.arity < 1:
+    def __init__(self, arity: int, mask: int) -> None:
+        if arity < 1:
             raise ValueError("arity must be >= 1")
-        if not isinstance(self.mask, int):
+        if not isinstance(mask, int):
             raise TypeError("mask must be an int bitmask; parse literals with parse_subset_cell")
-        if self.mask <= 0 or self.mask.bit_length() > self.arity:
-            raise ValueError(f"mask must select a nonempty subset of 1..{self.arity}")
+        if mask <= 0 or mask.bit_length() > arity:
+            raise ValueError(f"mask must select a nonempty subset of 1..{arity}")
+        _set_field(self, "arity", arity)
+        _set_field(self, "mask", mask)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"SubsetCell is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"SubsetCell is immutable: cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not SubsetCell:
+            return NotImplemented
+        return self.mask == other.mask and self.arity == other.arity
+
+    def __hash__(self) -> int:
+        return hash((self.arity, self.mask))
+
+    def __repr__(self) -> str:
+        return f"SubsetCell(arity={self.arity}, mask={self.mask})"
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, not __setattr__
+        return (SubsetCell, (self.arity, self.mask))
 
     @property
     def elements(self) -> tuple[int, ...]:
@@ -186,16 +212,25 @@ def decompose(t: PlanarTree) -> tuple[PlanarTree, ...]:
     return t.children
 
 
+# The deepest nesting parse_tree accepts.  The parser, ``literal``, the
+# leaf functions and the products recurse once per level (a product of x
+# and y up to depth(x) + depth(y) levels, about four frames each), and
+# they reach Python's default recursion limit near 250 levels; a tree that
+# a capped command produces has at most 11 leaves, so depth <= 10.
+TREE_DEPTH_CAP = 50
+
+
 def parse_tree(text: str) -> PlanarTree:
-    """Parse the grammar  tree := '|' | '(' tree (',' tree)+ ')'."""
+    """Parse the grammar  tree := '|' | '(' tree (',' tree)+ ')', nested
+    at most TREE_DEPTH_CAP deep."""
     s = text.strip()
-    tree, pos = _parse_tree_at(s, 0)
+    tree, pos = _parse_tree_at(s, 0, 0)
     if pos != len(s):
         raise ValueError(f"trailing input at position {pos} in tree literal {text!r}")
     return tree
 
 
-def _parse_tree_at(s: str, pos: int) -> tuple[PlanarTree, int]:
+def _parse_tree_at(s: str, pos: int, depth: int) -> tuple[PlanarTree, int]:
     if pos >= len(s):
         raise ValueError("unexpected end of tree literal (grammar: '|' or '(t,t,...)')")
     if s[pos] == "|":
@@ -204,10 +239,15 @@ def _parse_tree_at(s: str, pos: int) -> tuple[PlanarTree, int]:
         raise ValueError(
             f"unexpected {s[pos]!r} at position {pos} (grammar: '|' or '(t,t,...)')"
         )
+    if depth == TREE_DEPTH_CAP:
+        raise ValueError(
+            f"tree literal nested deeper than TREE_DEPTH_CAP = {TREE_DEPTH_CAP} "
+            f"at position {pos} (grammar: '|' or '(t,t,...)')"
+        )
     pos += 1
     children = []
     while True:
-        child, pos = _parse_tree_at(s, pos)
+        child, pos = _parse_tree_at(s, pos, depth + 1)
         children.append(child)
         if pos >= len(s):
             raise ValueError("unterminated '(' in tree literal")

@@ -28,6 +28,7 @@ from . import cells as cells_mod
 from . import complexes, dendriform, duality, trialgebra
 from . import series as series_mod
 from .linear import LinComb
+from .relations import check_cases
 from .series import TPoly, series_identities_report
 
 
@@ -73,6 +74,32 @@ def _over_cap(family: str, arity: int) -> bool:
     Every family has at least 2^(n-1) cells at arity n, so an arity past
     the cap's bit length is refused before any count is computed."""
     return arity - 1 >= CELLS_CAP.bit_length() or cells_mod.cell_count(family, arity) > CELLS_CAP
+
+
+# The most cases a check command visits: basis triples for `tri` and
+# `dend check-relations`, cell pairs for `tri check-dg`, unit and
+# associativity cases for `tri check-operad`.  The default bounds visit
+# 42,274 cases at most.  Tree triples and dg pairs are the slowest cases:
+# on a shared 2-vCPU VM `dend check-relations --max-leaves 12` (77,748
+# triples, the largest accepted) took 22 s with a 193 MB peak.
+CHECK_CAP = 10**5
+
+
+def _capped_bound(check: str, flag: str, bound: int) -> int:
+    """``bound``, once the cases ``check`` visits there are within
+    CHECK_CAP.  Every check visits at least 2^(bound - 6) cases, so a
+    bound past the cap's bit length is refused before any count."""
+    if bound - 6 >= CHECK_CAP.bit_length() or check_cases(check, bound) > CHECK_CAP:
+        raise ValueError(
+            f"{flag} {bound} visits more than CHECK_CAP = {CHECK_CAP} cases "
+            f"({check}); use a smaller {flag}"
+        )
+    return bound
+
+
+def _tri_check(check: str, run_check):
+    """A `tri check-*` command: cap --max-arity, run the check, report."""
+    return lambda a: _report(run_check(_capped_bound(check, "--max-arity", a.max_arity)))
 
 
 def _cells_for(family: str, arity: int):
@@ -183,8 +210,9 @@ def _cmd_dend_power(args) -> int:
 
 
 def _cmd_dend_check_relations(args) -> int:
-    relations = dendriform.check_dendriform_relations(args.max_leaves)
-    assoc = dendriform.star_associativity(args.max_leaves)
+    bound = _capped_bound("dendriform_relations", "--max-leaves", args.max_leaves)
+    relations = dendriform.check_dendriform_relations(bound)
+    assoc = dendriform.star_associativity(bound)
     return _report(
         {
             "passed": relations["passed"] and assoc["passed"],
@@ -366,13 +394,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_tri_boundary)
     p = tri.add_parser("check-relations", help="the eleven product relations")
     p.add_argument("--max-arity", type=int, default=9)
-    p.set_defaults(fn=lambda a: _report(trialgebra.check_trialgebra_relations(a.max_arity)))
+    p.set_defaults(fn=_tri_check("trialgebra_relations", trialgebra.check_trialgebra_relations))
     p = tri.add_parser("check-dg", help="boundary/product rule discovery")
     p.add_argument("--max-arity", type=int, default=6)
-    p.set_defaults(fn=lambda a: _report(trialgebra.check_dg_rules(a.max_arity)))
+    p.set_defaults(fn=_tri_check("dg_rules", trialgebra.check_dg_rules))
     p = tri.add_parser("check-operad", help="operad associativity and units")
     p.add_argument("--max-arity", type=int, default=6)
-    p.set_defaults(fn=lambda a: _report(trialgebra.check_operad_axioms(a.max_arity)))
+    p.set_defaults(fn=_tri_check("operad_axioms", trialgebra.check_operad_axioms))
 
     dend = sub.add_parser("dend", help="planar-tree algebra").add_subparsers(
         dest="subcommand", required=True

@@ -12,6 +12,16 @@ associative; the seven relations among prec/succ/mid are checked by
 ``check_dendriform_relations``.
 
 Arity is additive: leaves(x op y) = leaves(x) + leaves(y) - 1.
+
+The products build no throwaway objects: ``prec``/``succ``/``mid``/``star``
+read the term dicts of their arguments (a bare tree counts as one term),
+add every coefficient product into one dict (``linear._add_into``) and
+wrap it once with the internal ``LinComb._of``.  A product of two single
+terms whose coefficients multiply to 1 is the cached basis product itself
+(a ``LinComb`` is immutable, so sharing it is safe).  ``_star`` merges the
+three cached basis products into one dict, and ``_graft_star`` builds its
+dict in one comprehension: grafting under a fixed head and tail is
+injective on interned trees, so no two terms collide.
 """
 
 from __future__ import annotations
@@ -21,7 +31,7 @@ from dataclasses import replace
 from functools import lru_cache
 
 from .cells import LEAF, PlanarTree, decompose, enumerate_planar_trees, graft
-from .linear import LinComb, as_lincomb, rank
+from .linear import LinComb, _add_into, rank
 from .relations import Scheme, check_scheme
 
 GENERATOR = graft((LEAF, LEAF))
@@ -34,7 +44,7 @@ GENERATOR = graft((LEAF, LEAF))
 
 def _graft_star(head: tuple, x: PlanarTree, y: PlanarTree, tail: tuple) -> LinComb:
     """Graft head, each term of x * y, tail under one root."""
-    return LinComb((graft(head + (t,) + tail), c) for t, c in _star(x, y))
+    return LinComb._of({graft(head + (t,) + tail): c for t, c in _star(x, y)._terms.items()})
 
 
 @lru_cache(maxsize=None)
@@ -58,27 +68,34 @@ def _mid(x: PlanarTree, y: PlanarTree) -> LinComb:
 def _star(x: PlanarTree, y: PlanarTree) -> LinComb:
     # the one-leaf tree is the unit of star (and only of star)
     if x.is_leaf:
-        return LinComb.single(y)
+        return LinComb._of({y: 1})
     if y.is_leaf:
-        return LinComb.single(x)
-    return _prec(x, y) + _succ(x, y) + _mid(x, y)
+        return LinComb._of({x: 1})
+    d = dict(_prec(x, y)._terms)
+    _add_into(d, _succ(x, y)._terms)
+    _add_into(d, _mid(x, y)._terms)
+    return LinComb._of(d)
 
 
 def _bilinear(tree_fn, allow_leaf: bool):
     def op(x, y) -> LinComb:
-        xs, ys = as_lincomb(x), as_lincomb(y)
+        xs = x._terms if isinstance(x, LinComb) else {x: 1}
+        ys = y._terms if isinstance(y, LinComb) else {y: 1}
         # a leaf is rejected whenever it would meet a partner
-        if not allow_leaf and xs and ys and (LEAF in xs.support() or LEAF in ys.support()):
+        if not allow_leaf and xs and ys and (LEAF in xs or LEAF in ys):
             raise ValueError(
                 "the one-leaf tree is a unit for star only, "
                 "not an argument of prec/succ/mid"
             )
-        return LinComb(
-            (t, cx * cy * c)
-            for bx, cx in xs
-            for by, cy in ys
-            for t, c in tree_fn(bx, by)
-        )
+        if len(xs) == 1 and len(ys) == 1:
+            ((bx, cx),), ((by, cy),) = xs.items(), ys.items()
+            if cx * cy == 1:
+                return tree_fn(bx, by)
+        d: dict = {}
+        for bx, cx in xs.items():
+            for by, cy in ys.items():
+                _add_into(d, tree_fn(bx, by)._terms, cx * cy)
+        return LinComb._of(d)
 
     return op
 

@@ -3,11 +3,16 @@
 Every coefficient the operads produce is an integer, and ``LinComb``
 stores coefficients as given, so products, boundaries and relation
 checks run on plain ints.  ``Fraction`` enters only at the edge, through
-a non-integer user scalar.  ``rank`` is the one elimination engine:
-fraction-free (integer cross-multiplication with per-row gcd reduction
-after clearing denominators) with deterministic pivoting.  The pivot row
-is the shortest active row, taken from a length heap; the pivot column
-is its column held by the fewest rows; a column index finds the rows to
+a non-integer user scalar.  ``LinComb._of(d)`` is the internal
+constructor of the product hot paths: it takes ownership of a dict with
+no zero coefficients and wraps it without a copy, so a product adds all
+its terms into one dict (``_add_into``) and builds one ``LinComb``.
+
+``rank`` is the one elimination engine: fraction-free (integer
+cross-multiplication with per-row gcd reduction after clearing
+denominators) with deterministic pivoting.  The pivot row is the
+shortest active row, taken from a length heap; the pivot column is its
+column held by the fewest rows; a column index finds the rows to
 eliminate, so no step scans all active rows.  Entries must be ``int`` or
 ``Fraction``; the package never produces a float.
 """
@@ -48,6 +53,14 @@ class LinComb:
         self._terms = d
 
     @classmethod
+    def _of(cls, terms: dict) -> "LinComb":
+        """Internal: wrap ``terms`` (no zero coefficients) without copying;
+        the LinComb owns the dict from here on."""
+        out = object.__new__(cls)
+        out._terms = terms
+        return out
+
+    @classmethod
     def single(cls, basis: Hashable, coeff=1) -> "LinComb":
         return cls([(basis, coeff)])
 
@@ -65,23 +78,14 @@ class LinComb:
 
     def __add__(self, other: "LinComb") -> "LinComb":
         d = dict(self._terms)
-        for b, c in other._terms.items():
-            s = d.get(b, 0) + c
-            if s:
-                d[b] = s
-            elif b in d:
-                del d[b]
-        out = LinComb()
-        out._terms = d
-        return out
+        _add_into(d, other._terms)
+        return LinComb._of(d)
 
     def __sub__(self, other: "LinComb") -> "LinComb":
         return self + (-other)
 
     def __neg__(self) -> "LinComb":
-        out = LinComb()
-        out._terms = {b: -c for b, c in self._terms.items()}
-        return out
+        return LinComb._of({b: -c for b, c in self._terms.items()})
 
     def __rmul__(self, scalar) -> "LinComb":
         # the user-scalar edge: ints stay exact ints, anything else
@@ -89,9 +93,7 @@ class LinComb:
         s = scalar if isinstance(scalar, int) else Fraction(scalar)
         if not s:
             return LinComb()
-        out = LinComb()
-        out._terms = {b: s * c for b, c in self._terms.items()}
-        return out
+        return LinComb._of({b: s * c for b, c in self._terms.items()})
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, LinComb) and self._terms == other._terms
@@ -122,6 +124,16 @@ class LinComb:
         return text[2:] if text.startswith("+ ") else text
 
     __repr__ = __str__
+
+
+def _add_into(d: dict, terms: dict, scale=1) -> None:
+    """d += scale * terms, dropping the coefficients that cancel."""
+    for b, c in terms.items():
+        s = d.get(b, 0) + scale * c
+        if s:
+            d[b] = s
+        elif b in d:
+            del d[b]
 
 
 def as_lincomb(x) -> LinComb:

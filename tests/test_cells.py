@@ -9,6 +9,7 @@ import pytest
 from trioperad.cells import (
     _TREES,
     LEAF,
+    TREE_DEPTH_CAP,
     CubeCell,
     LeafOrientation,
     PlanarTree,
@@ -55,6 +56,44 @@ def test_subset_cell_validation():
         SubsetCell(0, 1)
     with pytest.raises(TypeError, match="mask.*parse_subset_cell"):
         SubsetCell(3, (1, 2))
+
+
+@pytest.mark.parametrize(
+    "rebuild",
+    [copy.copy, copy.deepcopy, lambda c: pickle.loads(pickle.dumps(c))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_subset_cell_copies_are_equal_cells(rebuild):
+    for n in range(1, 5):
+        for c in enumerate_subset_cells(n):
+            r = rebuild(c)
+            assert type(r) is SubsetCell
+            assert (r.arity, r.mask) == (c.arity, c.mask)
+            assert r == c and hash(r) == hash(c)
+
+
+def test_subset_cell_is_immutable():
+    c = SubsetCell(4, 5)
+    with pytest.raises(AttributeError):
+        c.mask = 1
+    with pytest.raises(AttributeError):
+        c.arity = 5
+    with pytest.raises(AttributeError):
+        del c.mask
+    with pytest.raises(AttributeError):
+        c.extra = 0
+    assert (c.arity, c.mask) == (4, 5)
+
+
+def test_subset_cell_equality_hash_and_repr():
+    c = SubsetCell(4, 5)
+    assert c == SubsetCell(4, 5)
+    assert hash(c) == hash(SubsetCell(4, 5))
+    assert len({c, SubsetCell(4, 5), parse_subset_cell("{1,3}@4")}) == 1
+    assert c != (4, 5)
+    assert c != SubsetCell(5, 5)
+    assert c != SubsetCell(4, 6)
+    assert repr(c) == "SubsetCell(arity=4, mask=5)"
 
 
 def test_subset_parse_roundtrip():
@@ -147,6 +186,25 @@ def test_tree_parse_errors():
     for bad in ("", "(", "(|)", "(|,|", "(|,|))", "x"):
         with pytest.raises(ValueError):
             parse_tree(bad)
+
+
+def _nested(depth: int) -> str:
+    # the right comb: each level nests one more tree in the last slot
+    return "(|," * depth + "|" + ")" * depth
+
+
+def test_tree_parse_depth_cap():
+    deep = parse_tree(_nested(TREE_DEPTH_CAP))
+    assert deep.leaves == TREE_DEPTH_CAP + 1
+    assert deep.literal() == _nested(TREE_DEPTH_CAP)
+    assert remove_leaf(deep, deep.leaves).leaves == TREE_DEPTH_CAP
+    assert leaf_orientation(deep, deep.leaves) is LeafOrientation.RIGHT
+    for bad in (_nested(TREE_DEPTH_CAP + 1), _nested(1200)):
+        with pytest.raises(ValueError, match=r"TREE_DEPTH_CAP = \d+ .*grammar"):
+            parse_tree(bad)
+    # a deep tree inside a wide one counts its depth from the root
+    with pytest.raises(ValueError, match="TREE_DEPTH_CAP"):
+        parse_tree("(|," + _nested(TREE_DEPTH_CAP) + ")")
 
 
 def test_tree_degree():

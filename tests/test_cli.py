@@ -14,6 +14,7 @@ from trioperad import series as series_mod
 from trioperad import trialgebra as trialgebra_mod
 from trioperad.cli import (
     CELLS_CAP,
+    CHECK_CAP,
     SERIES_ORDER_CAP,
     _cells_for,
     _dimensions_report,
@@ -21,6 +22,7 @@ from trioperad.cli import (
     run,
 )
 from trioperad.linear import LinComb
+from trioperad.relations import check_cases
 from trioperad.series import TPoly, TSeries
 
 FAMILIES = ("subset", "tree", "cube")
@@ -271,6 +273,63 @@ def test_vacuous_bound_exits_2(capsys, argv):
     assert "smallest valid bound" in captured.err
 
 
+# ------------------------------------------------------------ check caps
+
+# (command, its check, module, the functions it runs, default bound,
+# cases at the default, smallest bound past CHECK_CAP)
+CHECK_COMMANDS = [
+    ("tri check-relations", "trialgebra_relations", trialgebra_mod,
+     ("check_trialgebra_relations",), 9, 9740, 12),
+    ("tri check-dg", "dg_rules", trialgebra_mod, ("check_dg_rules",), 6, 303, 13),
+    ("tri check-operad", "operad_axioms", trialgebra_mod, ("check_operad_axioms",), 6, 42274, 7),
+    ("dend check-relations", "dendriform_relations", dendriform_mod,
+     ("check_dendriform_relations", "star_associativity"), 10, 2491, 13),
+]
+CHECK_IDS = [c[0] for c in CHECK_COMMANDS]
+
+
+def _check_argv(command: str, bound: int) -> list[str]:
+    flag = "--max-leaves" if command.startswith("dend") else "--max-arity"
+    return command.split() + [flag, str(bound)]
+
+
+@pytest.mark.parametrize("case", CHECK_COMMANDS, ids=CHECK_IDS)
+def test_check_cap_boundary(case):
+    _, check, _, _, default, cases, refused = case
+    assert check_cases(check, default) == cases <= CHECK_CAP
+    assert check_cases(check, refused - 1) <= CHECK_CAP < check_cases(check, refused)
+
+
+@pytest.mark.parametrize("case", CHECK_COMMANDS, ids=CHECK_IDS)
+def test_check_default_bound_is_accepted(monkeypatch, case):
+    command, _, module, names, default, _, _ = case
+    started = []
+
+    def record(bound):
+        started.append(bound)
+        return {"passed": True}
+
+    for name in names:
+        monkeypatch.setattr(module, name, record)
+    assert run(command.split()) == 0
+    assert started == [default] * len(names)
+
+
+@pytest.mark.parametrize("case", CHECK_COMMANDS, ids=CHECK_IDS)
+def test_check_over_cap_exits_2(capsys, monkeypatch, case):
+    command, _, module, names, _, _, refused = case
+    _refuse(monkeypatch, module, *names)
+    code = run(_check_argv(command, refused))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"CHECK_CAP = {CHECK_CAP}" in captured.err
+    assert _check_argv(command, refused)[-2] in captured.err
+    # a huge bound is refused before any cell count is computed
+    _refuse(monkeypatch, cells_mod, "cell_count")
+    assert run(_check_argv(command, 10**6)) == 2
+
+
 # ------------------------------------------------------------------- dend
 
 
@@ -321,6 +380,20 @@ def test_dend_power_cap_boundary(monkeypatch):
     assert started == [10]
     _refuse(monkeypatch, dendriform_mod, "star_power")
     assert run(["dend", "power", "--n", "11"]) == 2
+
+
+def test_dend_mul_depth_cap(capsys):
+    deep = "(|," * cells_mod.TREE_DEPTH_CAP + "|" + ")" * cells_mod.TREE_DEPTH_CAP
+    for op in ("prec", "succ", "mid", "star"):
+        code, payload = run_json(capsys, ["dend", "mul", "--op", op, deep, "(|,|)"])
+        assert code == 0
+        assert payload["x"] == deep
+    deeper = "(|," * 1200 + "|" + ")" * 1200
+    code = run(["dend", "mul", "--op", "star", deeper, "(|,|)"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "TREE_DEPTH_CAP" in captured.err and "grammar" in captured.err
 
 
 def test_dend_check_relations(capsys):

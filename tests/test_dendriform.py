@@ -1,8 +1,12 @@
 """Planar-tree algebra: three products, star, relations, generator spans."""
 
+import random
+from fractions import Fraction
+from functools import lru_cache
+
 import pytest
 
-from trioperad.cells import LEAF, enumerate_planar_trees, parse_tree
+from trioperad.cells import LEAF, decompose, enumerate_planar_trees, graft, parse_tree
 from trioperad.dendriform import (
     DEND_OPS,
     DENDRIFORM_RELATIONS,
@@ -16,7 +20,7 @@ from trioperad.dendriform import (
     star_power,
     succ,
 )
-from trioperad.linear import LinComb
+from trioperad.linear import LinComb, as_lincomb
 from trioperad.relations import relation_statement
 
 # the 7 relations, frozen as (a, b, c, d) for (x a y) b z = x c (y d z)
@@ -96,6 +100,136 @@ def test_product_terms_are_the_enumerated_trees():
         for x, y in pairs:
             for t, _ in op(x, y):
                 assert t is enumerated[t.literal()]
+
+
+# ------------------------------------------- reference recursive products
+#
+# The recursive definitions the one-dict products replace: every product
+# is a LinComb built from a generator, a bare tree goes through
+# as_lincomb, and star is the sum prec + succ + mid.
+
+
+def _ref_graft_star(head, x, y, tail):
+    return LinComb((graft(head + (t,) + tail), c) for t, c in _ref_star(x, y))
+
+
+@lru_cache(maxsize=None)
+def _ref_prec(x, y):
+    parts = decompose(x)
+    return _ref_graft_star(parts[:-1], parts[-1], y, ())
+
+
+@lru_cache(maxsize=None)
+def _ref_succ(x, y):
+    parts = decompose(y)
+    return _ref_graft_star((), x, parts[0], parts[1:])
+
+
+@lru_cache(maxsize=None)
+def _ref_mid(x, y):
+    xp, yp = decompose(x), decompose(y)
+    return _ref_graft_star(xp[:-1], xp[-1], yp[0], yp[1:])
+
+
+def _ref_star(x, y):
+    if x.is_leaf:
+        return LinComb.single(y)
+    if y.is_leaf:
+        return LinComb.single(x)
+    return _ref_prec(x, y) + _ref_succ(x, y) + _ref_mid(x, y)
+
+
+def _ref_bilinear(tree_fn, allow_leaf):
+    def op(x, y):
+        xs, ys = as_lincomb(x), as_lincomb(y)
+        if not allow_leaf and xs and ys and (LEAF in xs.support() or LEAF in ys.support()):
+            raise ValueError("the one-leaf tree is a unit for star only")
+        return LinComb(
+            (t, cx * cy * c) for bx, cx in xs for by, cy in ys for t, c in tree_fn(bx, by)
+        )
+
+    return op
+
+
+REFERENCE_OPS = {
+    "prec": _ref_bilinear(_ref_prec, allow_leaf=False),
+    "succ": _ref_bilinear(_ref_succ, allow_leaf=False),
+    "mid": _ref_bilinear(_ref_mid, allow_leaf=False),
+    "star": _ref_bilinear(_ref_star, allow_leaf=True),
+}
+
+
+@pytest.mark.parametrize("name", list(REFERENCE_OPS))
+def test_products_match_reference_on_basis_pairs(name):
+    # every basis pair with leaf sum <= 8; the one-leaf tree only for star
+    least = 1 if name == "star" else 2
+    trees = [t for n in range(least, 8) for t in enumerate_planar_trees(n)]
+    pairs = [(x, y) for x in trees for y in trees if x.leaves + y.leaves <= 8]
+    assert len(pairs) == (3300 if name == "star" else 979)
+    op, ref = DEND_OPS[name], REFERENCE_OPS[name]
+    for x, y in pairs:
+        assert op(x, y) == ref(x, y), (name, str(x), str(y))
+
+
+def _seeded_lincombs(seed, count):
+    rng = random.Random(seed)
+    trees = [t for n in range(2, 6) for t in enumerate_planar_trees(n)]
+    coeffs = (-3, -2, -1, 1, 2, 3, Fraction(1, 2), Fraction(-2, 3), Fraction(3, 2))
+    return [
+        LinComb((t, rng.choice(coeffs)) for t in rng.sample(trees, rng.randint(1, 5)))
+        for _ in range(count)
+    ]
+
+
+B = parse_tree("(|,|,|)")
+
+# inputs on both paths: several terms, Fractions, single terms whose
+# coefficients multiply to 1 (the shared cached product) or to -1, zero
+SPECIAL_PAIRS = [
+    (lc("(|,|)", "(|,|,|)"), LinComb([(A, 1), (B, -1)])),
+    (LinComb.single(A, -1), LinComb.single(B, -1)),
+    (LinComb.single(A, -1), B),
+    (A, LinComb.single(B, -1)),
+    (LinComb.single(A, Fraction(2, 3)), LinComb.single(B, Fraction(3, 2))),
+    (LinComb.single(A, Fraction(1, 2)), LinComb.single(B, 3)),
+    (LinComb([(A, 1), (A, -1)]), B),
+    (LinComb(), A),
+    (A, LinComb()),
+    (LinComb(), LinComb()),
+]
+
+
+@pytest.mark.parametrize("name", list(REFERENCE_OPS))
+def test_products_match_reference_on_combinations(name):
+    op, ref = DEND_OPS[name], REFERENCE_OPS[name]
+    xs, ys = _seeded_lincombs(12, 40), _seeded_lincombs(13, 40)
+    for x, y in list(zip(xs, ys)) + SPECIAL_PAIRS:
+        assert op(x, y) == ref(x, y), (name, str(x), str(y))
+    for zero in (LinComb(), LinComb([(A, 2), (A, -2)])):
+        assert op(zero, B) == op(B, zero) == LinComb()
+
+
+def test_product_terms_cancel():
+    # (|,|) mid (|,|,|) and (|,|,|) mid (|,|) are both the four-leaf corolla,
+    # so with x = A + B and y = A - B it cancels in mid and in star
+    x, y = LinComb([(A, 1), (B, 1)]), LinComb([(A, 1), (B, -1)])
+    corolla = parse_tree("(|,|,|,|)")
+    for name in ("mid", "star"):
+        got = DEND_OPS[name](x, y)
+        assert got == REFERENCE_OPS[name](x, y)
+        assert got.coeff(corolla) == 0
+        assert corolla not in got.support()
+
+
+def test_leaf_arguments_after_one_dict_products():
+    leafy = LinComb([(LEAF, 2), (A, 1)])
+    for name in ("prec", "succ", "mid"):
+        for x, y in ((LEAF, A), (A, LEAF), (leafy, B), (B, leafy)):
+            with pytest.raises(ValueError, match="unit for star only"):
+                DEND_OPS[name](x, y)
+    assert star(LEAF, B) == LinComb.single(B)
+    assert star(leafy, B) == REFERENCE_OPS["star"](leafy, B)
+    assert star(LEAF, LEAF) == LinComb.single(LEAF)
 
 
 # -------------------------------------------------------------- relations

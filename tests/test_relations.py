@@ -10,7 +10,7 @@ from trioperad.dendriform import (
     star_associativity,
 )
 from trioperad.duality import negative_control_scheme
-from trioperad.relations import check_scheme, relation_statement
+from trioperad.relations import check_cases, check_scheme, relation_statement
 from trioperad.trialgebra import (
     TRIALGEBRA_SCHEME,
     check_dg_rules,
@@ -83,3 +83,26 @@ def test_harness_rejects_a_perturbed_tree_row():
     scheme = replace(DENDRIFORM_SCHEME, rows=tuple(rows))
     entries, _ = check_scheme(scheme, 7)
     _failing_entry(entries, rows[4])
+
+
+def test_check_cases_count_what_the_checks_visit():
+    for b in range(3, 7):
+        want = check_trialgebra_relations(b)["triples_checked"]
+        assert check_cases("trialgebra_relations", b) == want
+    for b in range(2, 6):
+        assert check_cases("dg_rules", b) == check_dg_rules(b)["pairs_checked"]
+    for b in range(1, 5):
+        report = check_operad_axioms(b)
+        want = report["unit_cases"] + report["associativity_cases"]
+        assert check_cases("operad_axioms", b) == want
+    for b in range(6, 9):
+        assert (
+            check_cases("dendriform_relations", b)
+            == check_dendriform_relations(b)["triples_checked"]
+            == star_associativity(b)["triples_checked"]
+        )
+    # a bound that admits nothing counts nothing; the check itself refuses it
+    assert check_cases("trialgebra_relations", -5) == 0
+    assert check_cases("dendriform_relations", 5) == 0
+    with pytest.raises(ValueError, match="unknown check"):
+        check_cases("relations", 5)
