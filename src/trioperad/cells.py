@@ -7,7 +7,12 @@ Three kinds of basis cells appear throughout the package:
   (n-1)-simplex.  A cell is stored as its n-bit mask (bit e-1 set iff
   e is in the subset), so products, composition, faces and boundary are
   bit operations; ``parse_subset_cell`` is the one place a literal is
-  validated.
+  validated.  The exhaustive checks and the products go one step further
+  and encode a cell as one int, its *key* ``mask | 1 << arity``: the
+  arity is ``key.bit_length() - 1`` and the mask is ``key ^ 1 << arity``,
+  so equality and hashing are int operations.  ``SubsetCell.key`` and
+  ``cell_of_key`` convert; ``subset_keys(n)`` enumerates the keys of
+  arity n.
 * ``PlanarTree`` -- a planar rooted tree whose internal vertices all have
   at least two children, written ``(|,(|,|))``; trees with n+1 leaves are
   the cells of the Stasheff polytope attached to arity n.  There is one
@@ -92,6 +97,11 @@ class SubsetCell:
     def degree(self) -> int:
         return self.mask.bit_count() - 1
 
+    @property
+    def key(self) -> int:
+        """The one-int encoding ``mask | 1 << arity``; see ``cell_of_key``."""
+        return self.mask | 1 << self.arity
+
     def literal(self) -> str:
         return "{" + ",".join(map(str, self.elements)) + "}@" + str(self.arity)
 
@@ -127,6 +137,26 @@ def parse_subset_cell(text: str, max_arity: int | None = None) -> SubsetCell:
     if why:
         raise ValueError(f"bad cell literal {text!r}: {why} (grammar: {{i,j,...}}@n)")
     return SubsetCell(arity, sum(1 << (e - 1) for e in elems))
+
+
+def cell_of_key(key: int) -> SubsetCell:
+    """The cell whose key is ``key``: the top bit marks the arity, the
+    bits below it are the mask."""
+    arity = key.bit_length() - 1
+    return SubsetCell(arity, key ^ 1 << arity)
+
+
+def key_literal(key: int) -> str:
+    """The literal of the cell with key ``key``, such as ``{1,3}@3``."""
+    return cell_of_key(key).literal()
+
+
+def subset_keys(n: int) -> range:
+    """The keys of the 2^n - 1 cells of arity n, in ascending mask order:
+    the order of ``enumerate_subset_cells(n)``."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return range((1 << n) + 1, 1 << (n + 1))
 
 
 def enumerate_subset_cells(n: int) -> list[SubsetCell]:

@@ -59,9 +59,10 @@ def _degree_counts(items) -> dict[int, int]:
     return by_degree
 
 
-# The most cells `cells` enumerates, the most terms `dend power` sums,
-# the most basis elements `complex build` assembles, and the largest
-# arity of a `tri` literal (its mask takes one bit per vertex).
+# The most cells `cells` enumerates, the most terms `dend power` sums and
+# `dend mul` prints, the most basis elements `complex build` assembles,
+# and the largest arity of a `tri` literal (its mask takes one bit per
+# vertex).
 CELLS_CAP = 10**6
 
 # The highest `series --order`: the stasheff series grows steeply with the
@@ -186,6 +187,15 @@ def _cmd_tri_boundary(args) -> int:
 def _cmd_dend_mul(args) -> int:
     x = cells_mod.parse_tree(args.x)
     y = cells_mod.parse_tree(args.y)
+    # star(x, y) has the most terms of the four products; the count comes
+    # from the two trees' spines, before any product is computed
+    terms = dendriform.star_term_count(x, y)
+    if terms > CELLS_CAP:
+        raise ValueError(
+            f"the product of these trees has up to {terms} terms (the Delannoy "
+            f"number of x's rightmost and y's leftmost path), more than "
+            f"CELLS_CAP = {CELLS_CAP}; use shallower trees"
+        )
     result = dendriform.DEND_OPS[args.op](x, y)
     _emit_json(
         {

@@ -27,6 +27,7 @@ injective on interned trees, so no two terms collide.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import replace
 from functools import lru_cache
 
@@ -106,6 +107,30 @@ mid = _bilinear(_mid, allow_leaf=False)
 star = _bilinear(_star, allow_leaf=True)
 
 DEND_OPS = {"prec": prec, "succ": succ, "mid": mid, "star": star}
+
+
+def _spine(t: PlanarTree, side: int) -> int:
+    """Internal vertices on the path from the root through the children at
+    position ``side`` (-1: rightmost path, 0: leftmost path)."""
+    n = 0
+    while t.children:
+        n += 1
+        t = t.children[side]
+    return n
+
+
+def star_term_count(x: PlanarTree, y: PlanarTree) -> int:
+    """The number of terms of star(x, y), computed without the product.
+
+    It is the Delannoy number D(r, l) = sum_k C(r, k) C(l, k) 2^k, with r
+    the internal vertices on x's rightmost path and l those on y's
+    leftmost path: the product interleaves the two paths, each vertex pair
+    either kept apart (prec, succ) or merged (mid).  prec, succ and mid
+    never have more terms.  The tests pin this on every pair of trees
+    with at most five leaves each.
+    """
+    r, l = _spine(x, -1), _spine(y, 0)
+    return sum(math.comb(r, k) * math.comb(l, k) * 2**k for k in range(min(r, l) + 1))
 
 
 def star_power(n: int) -> LinComb:

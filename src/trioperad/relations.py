@@ -10,8 +10,8 @@ at a bound without running it.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
-from typing import Callable
 
 from .cells import cell_count
 
@@ -22,15 +22,17 @@ class Scheme:
     ``ops`` maps every symbol of ``rows`` to its product on basis elements
     (the outer products must accept the inner results); ``sum_symbol``
     names the sum of the three generators, if the rows use it; sizes of
-    ``basis(k)`` start at ``min_size``.
+    ``basis(k)`` start at ``min_size``; ``render`` writes a basis element
+    or a product for a counterexample.
     """
 
     generators: tuple[str, str, str]
     ops: dict[str, Callable]
     rows: tuple[tuple[str, str, str, str], ...]
     sum_symbol: str | None
-    basis: Callable[[int], list]
+    basis: Callable[[int], Iterable]
     min_size: int
+    render: Callable[[object], str] = str
 
 
 def relation_statement(rel: tuple[str, str, str, str]) -> str:
@@ -51,7 +53,7 @@ def check_scheme(scheme: Scheme, bound: int) -> tuple[list[dict], int]:
     first failing triple, and the triple count.  Each (x a y) is computed
     once per pair and each (y d z) once per triple.
     """
-    rows, ops, m = scheme.rows, scheme.ops, scheme.min_size
+    rows, ops, m, render = scheme.rows, scheme.ops, scheme.min_size, scheme.render
     require_bound(bound, 3 * m, "basis triple")
     entries = [
         {"relation": relation_statement(rel), "holds": True, "counterexample": None}
@@ -75,11 +77,11 @@ def check_scheme(scheme: Scheme, bound: int) -> tuple[list[dict], int]:
                             if lhs != rhs and entry["holds"]:
                                 entry["holds"] = False
                                 entry["counterexample"] = {
-                                    "x": str(x),
-                                    "y": str(y),
-                                    "z": str(z),
-                                    "lhs": str(lhs),
-                                    "rhs": str(rhs),
+                                    "x": render(x),
+                                    "y": render(y),
+                                    "z": render(z),
+                                    "lhs": render(lhs),
+                                    "rhs": render(rhs),
                                 }
     return entries, triples
 

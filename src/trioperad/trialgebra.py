@@ -12,6 +12,22 @@ make the direct sum over all arities the free algebra on one generator
 for the eleven three-product associativity relations checked by
 ``check_trialgebra_relations``.
 
+Each of composition and the three products has one definition, on cell
+keys (``cells.SubsetCell.key``, the int ``mask | 1 << arity``):
+``gamma_key``, ``left_key``, ``right_key`` and ``mid_key``.  With p and
+q the arities of x and y, the products are
+
+    left  = x ^ 1 << p | 1 << p + q
+    right = y << p
+    mid   = x ^ 1 << p | y << p
+
+``gamma``, ``left_cell``, ``right_cell`` and ``mid_cell`` are thin
+wrappers that take and return ``SubsetCell``.  The exhaustive checks run
+on keys and build a cell only to render a counterexample; the bilinear
+products ``tri_left``/``tri_right``/``tri_mid`` and ``boundary`` add all
+their terms into one dict on keys and build one cell per distinct output
+key.
+
 ``check_dg_rules`` is a discovery harness for how the simplicial boundary
 interacts with the three products: it tests several candidate compatibility
 rules, reports which hold universally, and gives counterexamples for the
@@ -22,11 +38,19 @@ from __future__ import annotations
 
 import itertools
 
-from .cells import SubsetCell, compositions, enumerate_subset_cells
-from .linear import LinComb, as_lincomb
+from .cells import (
+    SubsetCell,
+    cell_of_key,
+    compositions,
+    enumerate_subset_cells,
+    key_literal,
+    subset_keys,
+)
+from .linear import LinComb, _add_into
 from .relations import Scheme, check_scheme, require_bound
 
 OPERAD_UNIT = SubsetCell(1, 1)
+_UNIT_KEY = OPERAD_UNIT.key
 
 
 # =====================================================================
@@ -34,74 +58,76 @@ OPERAD_UNIT = SubsetCell(1, 1)
 # =====================================================================
 
 
-def gamma(outer: SubsetCell, args: "list[SubsetCell] | tuple[SubsetCell, ...]") -> SubsetCell:
-    """Operadic composition: plug one cell per slot of ``outer``.
+def gamma_key(outer: int, args: "list[int] | tuple[int, ...]") -> int:
+    """Operadic composition on keys: plug one cell per slot of ``outer``.
 
-    Needs exactly ``outer.arity`` arguments; the result ORs the masks of
-    the arguments sitting in the slots ``outer`` selects, each shifted
-    past the earlier slots.
+    Needs exactly one argument per slot; the result ORs the masks of the
+    arguments sitting in the slots ``outer`` selects, each shifted past
+    the earlier slots.
     """
-    if len(args) != outer.arity:
+    if len(args) != outer.bit_length() - 1:
         raise ValueError(
-            f"gamma needs {outer.arity} arguments for {outer}, got {len(args)}"
+            f"gamma needs {outer.bit_length() - 1} arguments for "
+            f"{key_literal(outer)}, got {len(args)}"
         )
-    selected = outer.mask
     mask = shift = 0
     for a in args:
-        if selected & 1:
-            mask |= a.mask << shift
-        selected >>= 1
-        shift += a.arity
-    return SubsetCell(shift, mask)
+        p = a.bit_length() - 1
+        if outer & 1:
+            mask |= (a ^ 1 << p) << shift
+        outer >>= 1
+        shift += p
+    return mask | 1 << shift
+
+
+def gamma(outer: SubsetCell, args: "list[SubsetCell] | tuple[SubsetCell, ...]") -> SubsetCell:
+    """``gamma_key`` on cells: needs exactly ``outer.arity`` arguments."""
+    return cell_of_key(gamma_key(outer.key, [a.key for a in args]))
 
 
 def check_operad_axioms(max_arity: int) -> dict:
     """Exhaustive associativity + unit check for all composites of total
-    arity (arity of the composed operation) up to ``max_arity``."""
+    arity (arity of the composed operation) up to ``max_arity``, on keys."""
     require_bound(max_arity, 1, "composite")
     unit_cases = 0
     assoc_cases = 0
     first_failure = None
 
     for n in range(1, max_arity + 1):
-        for x in enumerate_subset_cells(n):
-            if gamma(x, [OPERAD_UNIT] * n) != x or gamma(OPERAD_UNIT, [x]) != x:
-                first_failure = first_failure or {"kind": "unit", "x": x.literal()}
+        units = [_UNIT_KEY] * n
+        for x in subset_keys(n):
+            if gamma_key(x, units) != x or gamma_key(_UNIT_KEY, [x]) != x:
+                first_failure = first_failure or {"kind": "unit", "x": key_literal(x)}
             unit_cases += 2
 
     for total in range(1, max_arity + 1):
         for mid_arity in range(1, total + 1):
             for inner_arities in compositions(total, mid_arity):
-                inner_bases = [enumerate_subset_cells(k) for k in inner_arities]
+                inner_bases = [subset_keys(k) for k in inner_arities]
                 for n in range(1, mid_arity + 1):
                     for outer_arities in compositions(mid_arity, n):
                         blocks = []
                         start = 0
                         for size in outer_arities:
-                            blocks.append((start, start + size))
+                            blocks.append(slice(start, start + size))
                             start += size
-                        mid_bases = [enumerate_subset_cells(i) for i in outer_arities]
-                        for x in enumerate_subset_cells(n):
+                        mid_bases = [subset_keys(i) for i in outer_arities]
+                        for x in subset_keys(n):
                             for ys in itertools.product(*mid_bases):
-                                xy = gamma(x, ys)
+                                xy = gamma_key(x, ys)
+                                yblocks = list(zip(ys, blocks))
                                 for zs in itertools.product(*inner_bases):
-                                    lhs = gamma(xy, zs)
-                                    rhs = gamma(
-                                        x,
-                                        [
-                                            gamma(ys[j], zs[a:b])
-                                            for j, (a, b) in enumerate(blocks)
-                                        ],
-                                    )
+                                    lhs = gamma_key(xy, zs)
+                                    rhs = gamma_key(x, [gamma_key(y, zs[b]) for y, b in yblocks])
                                     assoc_cases += 1
                                     if lhs != rhs and first_failure is None:
                                         first_failure = {
                                             "kind": "associativity",
-                                            "x": x.literal(),
-                                            "ys": [y.literal() for y in ys],
-                                            "zs": [z.literal() for z in zs],
-                                            "lhs": lhs.literal(),
-                                            "rhs": rhs.literal(),
+                                            "x": key_literal(x),
+                                            "ys": [key_literal(y) for y in ys],
+                                            "zs": [key_literal(z) for z in zs],
+                                            "lhs": key_literal(lhs),
+                                            "rhs": key_literal(rhs),
                                         }
     return {
         "passed": first_failure is None,
@@ -117,36 +143,78 @@ def check_operad_axioms(max_arity: int) -> dict:
 # =====================================================================
 
 
+def left_key(x: int, y: int) -> int:
+    """x -| y on keys: keep x's subset inside the juxtaposed vertex set."""
+    p = x.bit_length() - 1
+    return x ^ 1 << p | 1 << p + y.bit_length() - 1
+
+
+def right_key(x: int, y: int) -> int:
+    """x |- y on keys: keep y's subset, shifted past x."""
+    return y << x.bit_length() - 1
+
+
+def mid_key(x: int, y: int) -> int:
+    """x -|- y on keys: union of x's subset and y's shifted subset."""
+    p = x.bit_length() - 1
+    return x ^ 1 << p | y << p
+
+
 def left_cell(x: SubsetCell, y: SubsetCell) -> SubsetCell:
-    """x -| y : keep x's subset inside the juxtaposed vertex set."""
-    return SubsetCell(x.arity + y.arity, x.mask)
+    """x -| y : ``left_key`` on cells."""
+    return cell_of_key(left_key(x.key, y.key))
 
 
 def right_cell(x: SubsetCell, y: SubsetCell) -> SubsetCell:
-    """x |- y : keep y's subset, shifted past x."""
-    return SubsetCell(x.arity + y.arity, y.mask << x.arity)
+    """x |- y : ``right_key`` on cells."""
+    return cell_of_key(right_key(x.key, y.key))
 
 
 def mid_cell(x: SubsetCell, y: SubsetCell) -> SubsetCell:
-    """x -|- y : union of x's subset and y's shifted subset."""
-    return SubsetCell(x.arity + y.arity, x.mask | y.mask << x.arity)
+    """x -|- y : ``mid_key`` on cells."""
+    return cell_of_key(mid_key(x.key, y.key))
 
 
+KEY_OPS = {"left": left_key, "right": right_key, "mid": mid_key}
 CELL_OPS = {"left": left_cell, "right": right_cell, "mid": mid_cell}
 
 
-def _bilinear(cell_fn):
+def _keyed(x) -> list:
+    """The (key, coefficient) terms of a LinComb of cells or a bare cell."""
+    if isinstance(x, LinComb):
+        return [(b.key, c) for b, c in x]
+    return [(x.key, 1)]
+
+
+def _of_keys(d: dict) -> LinComb:
+    """The LinComb of cells for a dict of keys with no zero coefficients."""
+    return LinComb._of({cell_of_key(k): c for k, c in d.items()})
+
+
+def _bilinear(key_op):
+    """The bilinear extension of a product on keys: every coefficient
+    product goes into one dict on keys, and only the distinct output keys
+    become cells."""
+
     def op(x, y) -> LinComb:
-        xs, ys = as_lincomb(x), as_lincomb(y)
-        return LinComb(
-            (cell_fn(bx, by), cx * cy) for bx, cx in xs for by, cy in ys
-        )
+        ys = _keyed(y)
+        d: dict = {}
+        for kx, cx in _keyed(x):
+            for ky, cy in ys:
+                k = key_op(kx, ky)
+                s = d.get(k, 0) + cx * cy
+                if s:
+                    d[k] = s
+                elif k in d:
+                    del d[k]
+        return _of_keys(d)
+
     return op
 
 
-tri_left = _bilinear(left_cell)
-tri_right = _bilinear(right_cell)
-tri_mid = _bilinear(mid_cell)
+tri_left = _bilinear(left_key)
+tri_right = _bilinear(right_key)
+tri_mid = _bilinear(mid_key)
 
 TRI_OPS = {"left": tri_left, "right": tri_right, "mid": tri_mid}
 
@@ -166,13 +234,15 @@ TRIALGEBRA_RELATIONS: list[tuple[str, str, str, str]] = [
     ("mid", "mid", "mid", "mid"),
 ]
 
+# the relations are checked on keys; counterexamples render as literals
 TRIALGEBRA_SCHEME = Scheme(
     generators=("left", "right", "mid"),
-    ops=CELL_OPS,
+    ops=KEY_OPS,
     rows=tuple(TRIALGEBRA_RELATIONS),
     sum_symbol=None,
-    basis=enumerate_subset_cells,
+    basis=subset_keys,
     min_size=1,
+    render=key_literal,
 )
 
 
@@ -192,25 +262,35 @@ def check_trialgebra_relations(max_arity: int) -> dict:
 # =====================================================================
 
 
-def boundary_cell(x: SubsetCell) -> LinComb:
-    """Alternating sum over one-element deletions; empty results dropped.
-    Deleting the element of rank r (0-based) clears its bit, with sign
-    (-1)^r."""
-    mask = rest = x.mask
-    if mask & (mask - 1) == 0:
-        return LinComb()
-    terms = []
+def boundary_key(key: int) -> dict[int, int]:
+    """The simplicial boundary on keys, as {key: sign}: the alternating
+    sum over one-element deletions, empty results dropped.  Deleting the
+    element of rank r (0-based) clears its bit, with sign (-1)^r."""
+    rest = key ^ 1 << key.bit_length() - 1
+    if rest & (rest - 1) == 0:
+        return {}
+    terms = {}
+    sign = 1
     while rest:
         low = rest & -rest
-        terms.append((SubsetCell(x.arity, mask ^ low), (-1) ** len(terms)))
+        terms[key ^ low] = sign
+        sign = -sign
         rest ^= low
-    return LinComb(terms)
+    return terms
+
+
+def boundary_cell(x: SubsetCell) -> LinComb:
+    """``boundary_key`` on one cell."""
+    return _of_keys(boundary_key(x.key))
 
 
 def boundary(x) -> LinComb:
-    return LinComb(
-        (b, coeff * c) for cell, coeff in as_lincomb(x) for b, c in boundary_cell(cell)
-    )
+    """The boundary of a LinComb of cells (or a bare cell), summed into
+    one dict on keys."""
+    d: dict = {}
+    for k, c in _keyed(x):
+        _add_into(d, boundary_key(k), c)
+    return _of_keys(d)
 
 
 def _sign(k: int) -> int:

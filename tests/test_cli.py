@@ -396,6 +396,47 @@ def test_dend_mul_depth_cap(capsys):
     assert "TREE_DEPTH_CAP" in captured.err and "grammar" in captured.err
 
 
+def _combs(depth):
+    """A right comb and a left comb of ``depth`` internal vertices: the
+    rightmost path of the first and the leftmost path of the second hold
+    all of them."""
+    right = left = "|"
+    for _ in range(depth):
+        right, left = f"(|,{right})", f"({left},|)"
+    return right, left
+
+
+@pytest.mark.parametrize("op", ["prec", "succ", "mid", "star"])
+def test_dend_mul_term_cap_boundary(capsys, monkeypatch, op):
+    # D(8, 8) = 265,729 terms reach the product; D(9, 9) = 1,462,563 do not
+    reached = []
+
+    def stub(x, y):
+        reached.append((x.literal(), y.literal()))
+        return LinComb()
+
+    monkeypatch.setitem(dendriform_mod.DEND_OPS, op, stub)
+    x, y = _combs(8)
+    assert run(["dend", "mul", "--op", op, x, y]) == 0
+    assert reached == [(x, y)]
+    capsys.readouterr()
+
+    monkeypatch.setitem(dendriform_mod.DEND_OPS, op, lambda x, y: pytest.fail("product started"))
+    code = run(["dend", "mul", "--op", op, *_combs(9)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "1462563 terms" in captured.err
+    assert f"CELLS_CAP = {CELLS_CAP}" in captured.err
+
+
+def test_dend_mul_small_trees_are_accepted():
+    # every pair with at most four leaves each: D(3, 3) = 63 at most
+    trees = [t for n in range(1, 5) for t in cells_mod.enumerate_planar_trees(n)]
+    counts = [dendriform_mod.star_term_count(x, y) for x in trees for y in trees]
+    assert max(counts) == 63 <= CELLS_CAP
+
+
 def test_dend_check_relations(capsys):
     code, payload = run_json(capsys, ["dend", "check-relations", "--max-leaves", "7"])
     assert code == 0

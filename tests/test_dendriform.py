@@ -18,6 +18,7 @@ from trioperad.dendriform import (
     star,
     star_associativity,
     star_power,
+    star_term_count,
     succ,
 )
 from trioperad.linear import LinComb, as_lincomb
@@ -283,3 +284,30 @@ def test_generator_spans():
     report = check_generator_spans(4)
     assert report["passed"]
     assert [w["rank"] for w in report["per_weight"]] == [1, 3, 11, 45]
+
+
+# --------------------------------------------------------- term counts
+
+
+@lru_cache(maxsize=None)
+def delannoy(m, n):
+    """Lattice paths from (0, 0) to (m, n) with steps (1,0), (0,1), (1,1)."""
+    if m == 0 or n == 0:
+        return 1
+    return delannoy(m - 1, n) + delannoy(m, n - 1) + delannoy(m - 1, n - 1)
+
+
+def spine(t, side):
+    """Internal vertices on the leftmost (side 0) or rightmost (-1) path."""
+    return 0 if t.is_leaf else 1 + spine(t.children[side], side)
+
+
+def test_star_term_count_is_the_delannoy_number():
+    trees = [t for n in range(1, 6) for t in enumerate_planar_trees(n)]
+    for x in trees:
+        for y in trees:
+            want = delannoy(spine(x, -1), spine(y, 0))
+            assert len(star(x, y)) == star_term_count(x, y) == want, (x, y)
+            if not (x.is_leaf or y.is_leaf):
+                assert max(len(prec(x, y)), len(succ(x, y)), len(mid(x, y))) <= want
+    assert (delannoy(8, 8), delannoy(9, 9)) == (265729, 1462563)

@@ -1,8 +1,11 @@
 """The relation-scheme harness: non-vacuous bounds and negative controls."""
 
+import re
 from dataclasses import replace
 
 import pytest
+
+from trioperad import trialgebra
 
 from trioperad.dendriform import (
     DENDRIFORM_SCHEME,
@@ -75,6 +78,35 @@ def test_harness_rejects_the_duality_negative_control():
         "lhs": "{1,3}@3",
         "rhs": "{1,2}@3",
     }
+
+
+def test_operad_check_rejects_a_broken_composition(monkeypatch):
+    # a gamma that advances past an unselected slot by one vertex, not by
+    # its argument's arity: both unit laws still hold (unit arguments have
+    # arity 1), associativity does not
+    def broken_gamma_key(outer, args):
+        mask = shift = 0
+        for a in args:
+            p = a.bit_length() - 1
+            if outer & 1:
+                mask |= (a ^ 1 << p) << shift
+                shift += p
+            else:
+                shift += 1
+            outer >>= 1
+        return mask | 1 << sum(a.bit_length() - 1 for a in args)
+
+    monkeypatch.setattr(trialgebra, "gamma_key", broken_gamma_key)
+    report = check_operad_axioms(4)
+    assert not report["passed"]
+    failure = report["first_failure"]
+    assert failure["kind"] == "associativity"
+    literal = re.compile(r"\{\d+(,\d+)*\}@\d+")
+    for field in ("x", "lhs", "rhs"):
+        assert literal.fullmatch(failure[field]), failure
+    for field in ("ys", "zs"):
+        assert failure[field] and all(literal.fullmatch(c) for c in failure[field]), failure
+    assert failure["lhs"] != failure["rhs"]
 
 
 def test_harness_rejects_a_perturbed_tree_row():

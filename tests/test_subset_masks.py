@@ -3,16 +3,31 @@
 The reference functions below work on a cell written as (arity, sorted
 element tuple), the form the operations had before cells became masks.
 They are the independent referee: every mask operation must produce the
-same literal on every case in the bounds below.
+same literal on every case in the bounds below, and the bilinear
+products and boundary, which work on cell keys, must equal the
+term-by-term sums of the reference on linear combinations.
 """
 
 import itertools
+import random
+from fractions import Fraction
 
 import pytest
 
 from trioperad.cells import parse_subset_cell
 from trioperad.complexes import SIMPLEX_FACE_TABLE, collapse_vertex, simplex_face_product
-from trioperad.trialgebra import boundary_cell, gamma, left_cell, mid_cell, right_cell
+from trioperad.linear import LinComb
+from trioperad.trialgebra import (
+    boundary,
+    boundary_cell,
+    gamma,
+    left_cell,
+    mid_cell,
+    right_cell,
+    tri_left,
+    tri_mid,
+    tri_right,
+)
 
 # the pinned table, and one whose four rows are all distinct
 FACE_TABLES = [
@@ -129,3 +144,86 @@ def test_boundary_and_faces_match_reference():
                     ), (x, i)
             cases += 1
     assert cases == sum(2**n - 1 for n in range(1, 8))
+
+
+# ------------------------------------------- products on combinations
+
+
+def ref_sum(terms):
+    """{literal: coefficient} of a sum of (reference cell, coefficient)
+    terms, cancelled terms dropped, and whether any term cancelled."""
+    out = {}
+    for cell, c in terms:
+        lit = ref_literal(cell)
+        out[lit] = out.get(lit, 0) + c
+    return {k: v for k, v in out.items() if v}, any(v == 0 for v in out.values())
+
+
+def as_arg(terms):
+    """The argument for a list of (reference cell, coefficient) terms: a
+    bare cell for one term with coefficient 1, else a LinComb."""
+    if len(terms) == 1 and terms[0][1] == 1:
+        return mask_cell(terms[0][0])
+    return LinComb((mask_cell(r), c) for r, c in terms)
+
+
+def literals(lin):
+    return {b.literal(): c for b, c in lin}
+
+
+COEFFS = (-3, -2, -1, 1, 2, 3, Fraction(1, 2), Fraction(-2, 3))
+REF_BASIS = [c for n in range(1, 5) for c in ref_cells(n)]
+
+
+def random_terms(rng):
+    # arities 1..4, repeats allowed, so terms meet and cancel
+    return [(rng.choice(REF_BASIS), rng.choice(COEFFS)) for _ in range(rng.randint(1, 5))]
+
+
+# fixed inputs, as (reference cell, coefficient) terms, whose products
+# cancel or that sit at the edges: a bare cell, coefficient -1, the zero
+# combination, Fraction coefficients that multiply to 1
+FIXED_PAIRS = [
+    ([((1, (1,)), 1)], [((2, (1,)), 1), ((2, (2,)), -1)]),
+    ([((2, (1,)), 1), ((2, (2,)), -1)], [((1, (1,)), 1)]),
+    ([((1, (1,)), 1), ((2, (1,)), -1)], [((2, (2,)), 1), ((1, (1,)), 1)]),
+    ([((3, (1, 3)), -1)], [((2, (1, 2)), 1)]),
+    ([((2, (2,)), Fraction(2, 3))], [((1, (1,)), Fraction(3, 2))]),
+    ([], [((1, (1,)), 1)]),
+    ([((3, (2,)), 2)], []),
+]
+
+
+@pytest.mark.parametrize(
+    "op, ref",
+    [(tri_left, ref_left), (tri_right, ref_right), (tri_mid, ref_mid)],
+    ids=["left", "right", "mid"],
+)
+def test_products_match_reference_on_combinations(op, ref):
+    rng = random.Random(13)
+    pairs = FIXED_PAIRS + [(random_terms(rng), random_terms(rng)) for _ in range(400)]
+    cancelled = 0
+    for xs, ys in pairs:
+        want, gone = ref_sum(
+            (ref(x, y), cx * cy) for x, cx in xs for y, cy in ys
+        )
+        got = op(as_arg(xs), as_arg(ys))
+        assert isinstance(got, LinComb)
+        assert literals(got) == want, (xs, ys)
+        cancelled += gone
+    assert cancelled > 0
+
+
+def test_boundary_matches_reference_on_combinations():
+    rng = random.Random(13)
+    inputs = [xs for xs, _ in FIXED_PAIRS] + [
+        [((3, (1, 2)), 1), ((3, (1, 3)), -1)],
+        [((2, (1, 2)), Fraction(1, 2))],
+    ]
+    inputs += [random_terms(rng) for _ in range(400)]
+    cancelled = 0
+    for xs in inputs:
+        want, gone = ref_sum((b, cx * c) for x, cx in xs for b, c in ref_boundary(x))
+        assert literals(boundary(as_arg(xs))) == want, xs
+        cancelled += gone
+    assert cancelled > 0
