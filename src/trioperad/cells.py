@@ -176,9 +176,11 @@ class PlanarTree:
 
     The one-leaf tree is ``LEAF`` (children == ()); everything else is a
     node built by ``graft``.  One instance per tree: equality is identity.
+    ``serial`` numbers the trees in the order they were interned; sorting
+    by it puts any multiset of trees in one canonical order.
     """
 
-    __slots__ = ("children", "leaves", "vertices")
+    __slots__ = ("children", "leaves", "vertices", "serial")
 
     def __new__(cls, children: tuple["PlanarTree", ...] = ()) -> "PlanarTree":
         children = tuple(children)
@@ -195,6 +197,9 @@ class PlanarTree:
         else:
             self.leaves = 1
             self.vertices = 0
+        # a counter, not len(_TREES): two racing constructors could read
+        # one length, and two trees with one serial break the sort order
+        self.serial = next(_SERIALS)
         # setdefault, so two constructors racing on one tree return one object
         return _TREES.setdefault(children, self)
 
@@ -224,6 +229,7 @@ class PlanarTree:
 
 
 _TREES: dict[tuple, PlanarTree] = {}  # children tuple -> the one tree with them
+_SERIALS = itertools.count()
 LEAF = PlanarTree()
 
 

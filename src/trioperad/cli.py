@@ -23,6 +23,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from itertools import islice
 
 from . import cells as cells_mod
 from . import complexes, dendriform, duality, trialgebra
@@ -43,7 +44,13 @@ def _terms(lin: LinComb, key: str) -> list[dict]:
 
 
 def _emit_json(payload) -> None:
-    print(json.dumps(payload, indent=2, default=str))
+    # streamed, so the indented text is never held as one string; the
+    # encoder's small chunks go out joined in batches, since an unbuffered
+    # stdout (PYTHONUNBUFFERED) makes every write a system call
+    chunks = json.JSONEncoder(indent=2, default=str).iterencode(payload)
+    while batch := "".join(islice(chunks, 4096)):
+        sys.stdout.write(batch)
+    sys.stdout.write("\n")
 
 
 def _report(payload: dict) -> int:

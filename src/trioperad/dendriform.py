@@ -13,26 +13,37 @@ associative; the seven relations among prec/succ/mid are checked by
 
 Arity is additive: leaves(x op y) = leaves(x) + leaves(y) - 1.
 
-The products build no throwaway objects: ``prec``/``succ``/``mid``/``star``
-read the term dicts of their arguments (a bare tree counts as one term),
-add every coefficient product into one dict (``linear._add_into``) and
-wrap it once with the internal ``LinComb._of``.  A product of two single
-terms whose coefficients multiply to 1 is the cached basis product itself
-(a ``LinComb`` is immutable, so sharing it is safe).  ``_star`` merges the
-three cached basis products into one dict, and ``_graft_star`` builds its
-dict in one comprehension: grafting under a fixed head and tail is
-injective on interned trees, so no two terms collide.
+Each basis product has one definition: ``_prec``, ``_succ``, ``_mid`` and
+``_star`` are cached functions of two trees that return the tuple of their
+distinct result trees.  Every basis product has coefficient 1 and no
+repeated term (prec, succ and mid results differ in root arity or in the
+leaf count of the first child), and ``_star`` is the concatenation of the
+three.  Grafting under a fixed head and tail is injective on interned
+trees, so ``_graft_star`` keeps the terms of ``_star`` distinct.
+
+A sum of basis products is therefore a multiset of trees.  The relation
+schemes run on multisets: each op takes a tree or a tuple of trees on
+either side and returns the result trees, repeats kept, as a tuple sorted
+by ``PlanarTree.serial``.  Two sums are equal exactly when their tuples
+are, so ``check_scheme`` compares them with ``==`` and builds no
+``LinComb``; ``render`` writes a multiset as the ``LinComb`` it stands for.
+
+The public ``prec``/``succ``/``mid``/``star`` are bilinear sums over the
+same tuples: they read the term dicts of their arguments (a bare tree
+counts as one term) and add every coefficient product into one dict,
+wrapped once with the internal ``LinComb._of``.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import replace
 from functools import lru_cache
+from itertools import chain, product, starmap
+from operator import attrgetter
 
 from .cells import LEAF, PlanarTree, decompose, enumerate_planar_trees, graft
-from .linear import LinComb, _add_into, rank
+from .linear import LinComb, rank
 from .relations import Scheme, check_scheme
 
 GENERATOR = graft((LEAF, LEAF))
@@ -43,42 +54,43 @@ GENERATOR = graft((LEAF, LEAF))
 # =====================================================================
 
 
-def _graft_star(head: tuple, x: PlanarTree, y: PlanarTree, tail: tuple) -> LinComb:
+def _graft_star(head: tuple, x: PlanarTree, y: PlanarTree, tail: tuple) -> tuple:
     """Graft head, each term of x * y, tail under one root."""
-    return LinComb._of({graft(head + (t,) + tail): c for t, c in _star(x, y)._terms.items()})
+    return tuple([graft(head + (t,) + tail) for t in _star(x, y)])
 
 
 @lru_cache(maxsize=None)
-def _prec(x: PlanarTree, y: PlanarTree) -> LinComb:
+def _prec(x: PlanarTree, y: PlanarTree) -> tuple:
     parts = decompose(x)
     return _graft_star(parts[:-1], parts[-1], y, ())
 
 
 @lru_cache(maxsize=None)
-def _succ(x: PlanarTree, y: PlanarTree) -> LinComb:
+def _succ(x: PlanarTree, y: PlanarTree) -> tuple:
     parts = decompose(y)
     return _graft_star((), x, parts[0], parts[1:])
 
 
 @lru_cache(maxsize=None)
-def _mid(x: PlanarTree, y: PlanarTree) -> LinComb:
+def _mid(x: PlanarTree, y: PlanarTree) -> tuple:
     xp, yp = decompose(x), decompose(y)
     return _graft_star(xp[:-1], xp[-1], yp[0], yp[1:])
 
 
-def _star(x: PlanarTree, y: PlanarTree) -> LinComb:
+@lru_cache(maxsize=None)
+def _star(x: PlanarTree, y: PlanarTree) -> tuple:
     # the one-leaf tree is the unit of star (and only of star)
     if x.is_leaf:
-        return LinComb._of({y: 1})
+        return (y,)
     if y.is_leaf:
-        return LinComb._of({x: 1})
-    d = dict(_prec(x, y)._terms)
-    _add_into(d, _succ(x, y)._terms)
-    _add_into(d, _mid(x, y)._terms)
-    return LinComb._of(d)
+        return (x,)
+    return _prec(x, y) + _succ(x, y) + _mid(x, y)
 
 
-def _bilinear(tree_fn, allow_leaf: bool):
+BASIS_OPS = {"prec": _prec, "succ": _succ, "mid": _mid, "star": _star}
+
+
+def _bilinear(basis_op, allow_leaf: bool):
     def op(x, y) -> LinComb:
         xs = x._terms if isinstance(x, LinComb) else {x: 1}
         ys = y._terms if isinstance(y, LinComb) else {y: 1}
@@ -90,12 +102,17 @@ def _bilinear(tree_fn, allow_leaf: bool):
             )
         if len(xs) == 1 and len(ys) == 1:
             ((bx, cx),), ((by, cy),) = xs.items(), ys.items()
-            if cx * cy == 1:
-                return tree_fn(bx, by)
+            return LinComb._of(dict.fromkeys(basis_op(bx, by), cx * cy))
         d: dict = {}
         for bx, cx in xs.items():
             for by, cy in ys.items():
-                _add_into(d, tree_fn(bx, by)._terms, cx * cy)
+                c = cx * cy
+                for t in basis_op(bx, by):
+                    s = d.get(t, 0) + c
+                    if s:
+                        d[t] = s
+                    else:  # c != 0, so t was in d
+                        del d[t]
         return LinComb._of(d)
 
     return op
@@ -158,13 +175,36 @@ DENDRIFORM_RELATIONS: list[tuple[str, str, str, str]] = [
     ("mid", "mid", "mid", "mid"),
 ]
 
+_serial = attrgetter("serial")
+
+
+def _multiset(basis_op):
+    """``basis_op`` summed over a tree or a tuple of trees on either side:
+    the result trees with repeats, as a tuple sorted by serial."""
+
+    def op(x, y) -> tuple:
+        xs = (x,) if isinstance(x, PlanarTree) else x
+        ys = (y,) if isinstance(y, PlanarTree) else y
+        return tuple(sorted(chain.from_iterable(starmap(basis_op, product(xs, ys))), key=_serial))
+
+    return op
+
+
+def _render(v) -> str:
+    """A tree, or a multiset of trees written as the LinComb it stands for."""
+    return str(v) if isinstance(v, PlanarTree) else str(LinComb((t, 1) for t in v))
+
+
+# Every basis product has coefficient 1, so a sum of them is a multiset of
+# trees, and two sums are equal exactly when their sorted tuples are.
 DENDRIFORM_SCHEME = Scheme(
     generators=("prec", "succ", "mid"),
-    ops=DEND_OPS,
+    ops={name: _multiset(fn) for name, fn in BASIS_OPS.items()},
     rows=tuple(DENDRIFORM_RELATIONS),
     sum_symbol="star",
     basis=enumerate_planar_trees,
     min_size=2,
+    render=_render,
 )
 
 # associativity of star is the single row (star, star, star, star)
@@ -200,7 +240,7 @@ def check_generator_spans(max_weight: int) -> dict:
     for m in range(2, max_weight + 1):
         vecs = []
         for p in range(1, m):
-            for u, v in itertools.product(products[p], products[m - p]):
+            for u, v in product(products[p], products[m - p]):
                 for op in (prec, succ, mid):
                     vecs.append(op(u, v))
         products[m] = vecs

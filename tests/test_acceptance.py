@@ -9,6 +9,8 @@ refutation (counterexample and nonzero residual) as an executable defect
 report, so it passes exactly while the defect is still reported.
 """
 
+import hashlib
+import json
 import time
 from math import comb
 
@@ -279,9 +281,16 @@ def test_criterion_10_star_powers_span_all_trees():
     report("10", True, "a*^n = coefficient-1 sum of all (n+1)-leaf trees, n <= 5")
 
 
+# sha256 of the stdout of `trioperad certify-all --level full`; a change
+# that alters the certificate must update it on purpose
+CERTIFY_FULL_SHA256 = "20c06955c54440e7f679599cc163b8fc9dac6529b2e2aa57748a93b2c56a1157"
+
+
 def test_certify_all_full_aggregate():
     # the CLI-level aggregate at full depth, minus the heavy repeats above
     rep = certify_all("full")
     failing = [name for name, sec in rep["sections"].items() if not sec["passed"]]
     report("aggregate", rep["passed"], f"certify-all --level full; failing: {failing}")
     assert rep["passed"], failing
+    printed = json.dumps(rep, indent=2, default=str) + "\n"
+    assert hashlib.sha256(printed.encode()).hexdigest() == CERTIFY_FULL_SHA256

@@ -6,10 +6,19 @@ from functools import lru_cache
 
 import pytest
 
-from trioperad.cells import LEAF, decompose, enumerate_planar_trees, graft, parse_tree
+from trioperad.cells import (
+    LEAF,
+    PlanarTree,
+    decompose,
+    enumerate_planar_trees,
+    graft,
+    parse_tree,
+)
 from trioperad.dendriform import (
+    BASIS_OPS,
     DEND_OPS,
     DENDRIFORM_RELATIONS,
+    DENDRIFORM_SCHEME,
     GENERATOR,
     check_dendriform_relations,
     check_generator_spans,
@@ -170,6 +179,58 @@ def test_products_match_reference_on_basis_pairs(name):
     op, ref = DEND_OPS[name], REFERENCE_OPS[name]
     for x, y in pairs:
         assert op(x, y) == ref(x, y), (name, str(x), str(y))
+
+
+def _counted(v):
+    """A tree stays a tree; a multiset of trees becomes the LinComb it
+    stands for."""
+    return v if isinstance(v, PlanarTree) else LinComb((t, 1) for t in v)
+
+
+@pytest.mark.parametrize("name", list(BASIS_OPS))
+def test_basis_products_are_distinct_trees_with_coefficient_one(name):
+    # the cached tuple is the whole product: no repeated tree, and the
+    # reference LinComb has exactly these trees, each with coefficient 1
+    least = 1 if name == "star" else 2
+    trees = [t for n in range(least, 8) for t in enumerate_planar_trees(n)]
+    basis_op, ref = BASIS_OPS[name], REFERENCE_OPS[name]
+    for x in trees:
+        for y in trees:
+            if x.leaves + y.leaves > 8:
+                continue
+            got = basis_op(x, y)
+            assert type(got) is tuple and basis_op(x, y) is got
+            assert len(set(got)) == len(got), (name, str(x), str(y))
+            want = ref(x, y)
+            assert all(c == 1 for _, c in want), (name, str(x), str(y))
+            assert _counted(got) == want, (name, str(x), str(y))
+            if name == "star" and not (x.is_leaf or y.is_leaf):
+                parts = (BASIS_OPS[n](x, y) for n in ("prec", "succ", "mid"))
+                assert got == sum(parts, ())
+
+
+@pytest.mark.parametrize("name", list(BASIS_OPS))
+def test_multiset_ops_agree_with_lincomb_ops(name):
+    # the scheme's ops on trees and tuples of trees, repeats included, are
+    # the LinComb products of the sums they stand for, sorted by serial
+    op, lin = DENDRIFORM_SCHEME.ops[name], DEND_OPS[name]
+    rng = random.Random(14)
+    trees = [t for n in range(2, 6) for t in enumerate_planar_trees(n)]
+    sums = [tuple(rng.choices(trees, k=rng.randint(1, 5))) for _ in range(40)]
+    sums += [(A, A, B), (B, A, B, B), (A,)]
+    assert any(len(set(s)) < len(s) for s in sums)
+    cases = list(zip(sums, reversed(sums))) + [(A, (A, A, B)), ((B, B), A), (A, B)]
+    for x, y in cases:
+        got = op(x, y)
+        assert type(got) is tuple
+        assert list(got) == sorted(got, key=lambda t: t.serial)
+        assert _counted(got) == lin(_counted(x), _counted(y)), (name, x, y)
+        if not isinstance(x, PlanarTree):
+            assert op(x[::-1], y) == got
+    # a repeated tree keeps its multiplicity
+    twice = op((A, A), B)
+    assert _counted(twice) == 2 * lin(A, B)
+    assert len(twice) == 2 * len(op(A, B))
 
 
 def _seeded_lincombs(seed, count):

@@ -109,12 +109,35 @@ def test_operad_check_rejects_a_broken_composition(monkeypatch):
     assert failure["lhs"] != failure["rhs"]
 
 
+# (row index, perturbed row, lhs, rhs); each first fails at x = y = z = (|,|)
+PERTURBED_TREE_ROWS = [
+    (4, ("prec", "mid", "mid", "prec"), "(|,(|,|),|)", "(|,|,(|,|))"),
+    (
+        0,
+        ("prec", "prec", "prec", "prec"),
+        "(|,((|,|),|)) + (|,(|,(|,|))) + (|,(|,|,|))",
+        "(|,(|,(|,|)))",
+    ),
+    (
+        2,
+        ("star", "succ", "succ", "prec"),
+        "(((|,|),|),|) + ((|,(|,|)),|) + ((|,|,|),|)",
+        "((|,|),(|,|))",
+    ),
+]
+
+
 def test_harness_rejects_a_perturbed_tree_row():
-    rows = list(DENDRIFORM_SCHEME.rows)
-    rows[4] = ("prec", "mid", "mid", "prec")
-    scheme = replace(DENDRIFORM_SCHEME, rows=tuple(rows))
-    entries, _ = check_scheme(scheme, 7)
-    _failing_entry(entries, rows[4])
+    # the multiset comparison finds the same counterexample a LinComb one
+    # would, rendered as the LinComb
+    for i, row, lhs, rhs in PERTURBED_TREE_ROWS:
+        rows = list(DENDRIFORM_SCHEME.rows)
+        rows[i] = row
+        scheme = replace(DENDRIFORM_SCHEME, rows=tuple(rows))
+        entries, _ = check_scheme(scheme, 7)
+        ce = _failing_entry(entries, row)
+        generator = "(|,|)"
+        assert ce == {"x": generator, "y": generator, "z": generator, "lhs": lhs, "rhs": rhs}
 
 
 def test_check_cases_count_what_the_checks_visit():
