@@ -217,9 +217,7 @@ class PlanarTree:
         return self.leaves - 1 - self.vertices
 
     def literal(self) -> str:
-        if self.is_leaf:
-            return "|"
-        return "(" + ",".join(c.literal() for c in self.children) + ")"
+        return tree_literals((self,))[0]
 
     def __str__(self) -> str:
         return self.literal()
@@ -231,6 +229,24 @@ class PlanarTree:
 _TREES: dict[tuple, PlanarTree] = {}  # children tuple -> the one tree with them
 _SERIALS = itertools.count()
 LEAF = PlanarTree()
+
+
+def tree_literals(trees) -> list[str]:
+    """The literals of a batch of trees.  Each distinct proper subtree is
+    rendered once, through a memo that lives for this call only, so no
+    string outlives the batch."""
+    memo: dict = {}
+    return [_render(t, memo) for t in trees]
+
+
+def _render(t: PlanarTree, memo: dict) -> str:
+    parts = []
+    for c in t.children:
+        s = memo.get(c)
+        if s is None:
+            s = memo[c] = _render(c, memo)
+        parts.append(s)
+    return "(" + ",".join(parts) + ")" if parts else "|"
 
 
 def graft(parts: "list[PlanarTree] | tuple[PlanarTree, ...]") -> PlanarTree:

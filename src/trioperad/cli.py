@@ -39,7 +39,11 @@ from .series import TPoly, series_identities_report
 
 
 def _terms(lin: LinComb, key: str) -> list[dict]:
-    terms = sorted((b.literal(), c) for b, c in lin)
+    """The terms of ``lin`` sorted by literal; trees are rendered as one
+    batch, each distinct subtree once."""
+    bases = list(lin.support())
+    texts = cells_mod.tree_literals(bases) if key == "tree" else [b.literal() for b in bases]
+    terms = sorted(zip(texts, (c for _, c in lin)))
     return [{"coeff": str(c), key: text} for text, c in terms]
 
 
@@ -87,9 +91,9 @@ def _over_cap(family: str, arity: int) -> bool:
 # The most cases a check command visits: basis triples for `tri` and
 # `dend check-relations`, cell pairs for `tri check-dg`, unit and
 # associativity cases for `tri check-operad`.  The default bounds visit
-# 42,274 cases at most.  Tree triples and dg pairs are the slowest cases:
-# on a shared 2-vCPU VM `dend check-relations --max-leaves 12` (77,748
-# triples, the largest accepted) took 22 s with a 193 MB peak.
+# 42,274 cases at most.  Tree triples are the slowest cases: on a shared
+# 2-vCPU VM `dend check-relations --max-leaves 12` (77,748 triples, the
+# largest accepted) took 13 s with a 156 MB peak.
 CHECK_CAP = 10**5
 
 
@@ -169,10 +173,8 @@ def _cmd_cells(args) -> int:
 def _cmd_tri_mul(args) -> int:
     x = cells_mod.parse_subset_cell(args.x, max_arity=CELLS_CAP)
     y = cells_mod.parse_subset_cell(args.y, max_arity=CELLS_CAP)
-    result = trialgebra.CELL_OPS[args.op](x, y)
-    _emit_json(
-        {"op": args.op, "x": x.literal(), "y": y.literal(), "result": result.literal()}
-    )
+    result = cells_mod.key_literal(trialgebra.KEY_OPS[args.op](x.key, y.key))
+    _emit_json({"op": args.op, "x": x.literal(), "y": y.literal(), "result": result})
     return 0
 
 

@@ -27,9 +27,6 @@ from .linear import rank
 from .relations import Scheme, relation_statement
 from .trialgebra import TRIALGEBRA_SCHEME
 
-TRI_GENERATORS = TRIALGEBRA_SCHEME.generators
-DEND_GENERATORS = DENDRIFORM_SCHEME.generators
-
 DIMENSION = 18  # 2 slots x 3 outer x 3 inner
 
 

@@ -25,13 +25,16 @@ q the arities of x and y, the products are
 wrappers that take and return ``SubsetCell``.  The exhaustive checks run
 on keys and build a cell only to render a counterexample; the bilinear
 products ``tri_left``/``tri_right``/``tri_mid`` and ``boundary`` add all
-their terms into one dict on keys and build one cell per distinct output
-key.
+their terms into one dict on keys (``_key_sum`` is the one bilinear
+loop) and build one cell per distinct output key.
 
 ``check_dg_rules`` is a discovery harness for how the simplicial boundary
 interacts with the three products: it tests several candidate compatibility
 rules, reports which hold universally, and gives counterexamples for the
-ones that fail.  It never patches a failing rule silently.
+ones that fail.  It never patches a failing rule silently.  Each rule of
+``DG_RULES`` is data: the product whose boundary is its left side and the
+coefficients of its right side in the twelve ``dg_terms``, computed once
+per key pair.
 """
 
 from __future__ import annotations
@@ -42,7 +45,6 @@ from .cells import (
     SubsetCell,
     cell_of_key,
     compositions,
-    enumerate_subset_cells,
     key_literal,
     subset_keys,
 )
@@ -176,7 +178,6 @@ def mid_cell(x: SubsetCell, y: SubsetCell) -> SubsetCell:
 
 
 KEY_OPS = {"left": left_key, "right": right_key, "mid": mid_key}
-CELL_OPS = {"left": left_cell, "right": right_cell, "mid": mid_cell}
 
 
 def _keyed(x) -> list:
@@ -191,25 +192,27 @@ def _of_keys(d: dict) -> LinComb:
     return LinComb._of({cell_of_key(k): c for k, c in d.items()})
 
 
+def _key_sum(key_op, xs, ys) -> dict:
+    """The bilinear sum of ``key_op`` over two sequences of (key,
+    coefficient) terms, added into one dict on keys with no zero
+    coefficients."""
+    d: dict = {}
+    for kx, cx in xs:
+        for ky, cy in ys:
+            k = key_op(kx, ky)
+            s = d.get(k, 0) + cx * cy
+            if s:
+                d[k] = s
+            elif k in d:
+                del d[k]
+    return d
+
+
 def _bilinear(key_op):
-    """The bilinear extension of a product on keys: every coefficient
-    product goes into one dict on keys, and only the distinct output keys
-    become cells."""
-
-    def op(x, y) -> LinComb:
-        ys = _keyed(y)
-        d: dict = {}
-        for kx, cx in _keyed(x):
-            for ky, cy in ys:
-                k = key_op(kx, ky)
-                s = d.get(k, 0) + cx * cy
-                if s:
-                    d[k] = s
-                elif k in d:
-                    del d[k]
-        return _of_keys(d)
-
-    return op
+    """The bilinear extension of a product on keys: ``_key_sum`` on the
+    keys of the two arguments, and only the distinct output keys become
+    cells."""
+    return lambda x, y: _of_keys(_key_sum(key_op, _keyed(x), _keyed(y)))
 
 
 tri_left = _bilinear(left_key)
@@ -279,11 +282,6 @@ def boundary_key(key: int) -> dict[int, int]:
     return terms
 
 
-def boundary_cell(x: SubsetCell) -> LinComb:
-    """``boundary_key`` on one cell."""
-    return _of_keys(boundary_key(x.key))
-
-
 def boundary(x) -> LinComb:
     """The boundary of a LinComb of cells (or a bare cell), summed into
     one dict on keys."""
@@ -293,117 +291,98 @@ def boundary(x) -> LinComb:
     return _of_keys(d)
 
 
-def _sign(k: int) -> int:
-    return -1 if k % 2 else 1
+def dg_terms(x: int, y: int) -> dict[str, dict[int, int]]:
+    """The twelve terms the dg rules are written in, at the cell keys x
+    and y: ``d(x op y)``, ``dx op y``, ``x op dy`` and ``x op y`` for each
+    op in ``KEY_OPS``, each a dict {key: coefficient}."""
+    dx, dy = boundary_key(x).items(), boundary_key(y).items()
+    terms = {}
+    for name, op in KEY_OPS.items():
+        xy = op(x, y)
+        terms[f"d(x {name} y)"] = boundary_key(xy)
+        terms[f"dx {name} y"] = _key_sum(op, dx, ((y, 1),))
+        terms[f"x {name} dy"] = _key_sum(op, ((x, 1),), dy)
+        terms[f"x {name} y"] = {xy: 1}
+    return terms
 
 
-def _dg_rule_variants():
-    """Candidate boundary/product rules tested by check_dg_rules.
+# Each rule reads (name, statement, op, coefficients): d(x op y) is the sum
+# of the ``dg_terms`` named in coefficients(p, q), each times its
+# coefficient, with p = |x| and q = |y| the cell degrees.
+DG_RULES = [
+    ("left_plain", "d(x left y) = dx left y", "left", lambda p, q: {"dx left y": 1}),
+    ("right_koszul_signed", "d(x right y) = (-1)^|x| x right dy", "right",
+     lambda p, q: {"x right dy": (-1) ** p}),
+    ("mid_koszul_signed", "d(x mid y) = dx mid y + (-1)^|x| x mid dy", "mid",
+     lambda p, q: {"dx mid y": 1, "x mid dy": (-1) ** p}),
+    *[
+        (f"corrected_mid(e1={e1:+d},e2={e2:+d})",
+         "d(x mid y) = dx mid y + (-1)^|x| x mid dy "
+         f"{'+' if e1 > 0 else '-'} x right y {'+' if e2 > 0 else '-'} x left y", "mid",
+         lambda p, q, e1=e1, e2=e2: {"dx mid y": 1, "x mid dy": (-1) ** p,
+                                     "x right y": e1, "x left y": e2})
+        for e1, e2 in [(1, -1), (1, 1), (-1, 1), (-1, -1)]
+    ],
+    ("right_unsigned", "d(x right y) = x right dy", "right", lambda p, q: {"x right dy": 1}),
+    ("discovered_mid", "d(x mid y) = dx mid y + (-1)^(|x|+1) x mid dy"
+     " + [|x|=0] x right y + (-1)^(|x|+1) [|y|=0] x left y", "mid",
+     lambda p, q: {"dx mid y": 1, "x mid dy": -((-1) ** p),
+                   "x right y": int(p == 0), "x left y": -((-1) ** p) * (q == 0)}),
+]
 
-    Each evaluator takes basis cells (x, y) and returns (lhs, rhs).
-    |x| is the cell degree throughout.
-    """
 
-    def left_plain(x, y):
-        return boundary(left_cell(x, y)), tri_left(boundary_cell(x), y)
-
-    def right_koszul_signed(x, y):
-        return (
-            boundary(right_cell(x, y)),
-            _sign(x.degree) * tri_right(x, boundary_cell(y)),
-        )
-
-    def mid_core(x, y, mid_sign):
-        return tri_mid(boundary_cell(x), y) + mid_sign * tri_mid(x, boundary_cell(y))
-
-    def mid_koszul_signed(x, y):
-        return boundary(mid_cell(x, y)), mid_core(x, y, _sign(x.degree))
-
-    def corrected_mid(e1, e2):
-        def rule(x, y):
-            rhs = (
-                mid_core(x, y, _sign(x.degree))
-                + e1 * LinComb.single(right_cell(x, y))
-                + e2 * LinComb.single(left_cell(x, y))
-            )
-            return boundary(mid_cell(x, y)), rhs
-        return rule
-
-    def right_unsigned(x, y):
-        return boundary(right_cell(x, y)), tri_right(x, boundary_cell(y))
-
-    def discovered_mid(x, y):
-        s = _sign(x.degree + 1)
-        rhs = mid_core(x, y, s)
-        if x.degree == 0:
-            rhs = rhs + LinComb.single(right_cell(x, y))
-        if y.degree == 0:
-            rhs = rhs + s * LinComb.single(left_cell(x, y))
-        return boundary(mid_cell(x, y)), rhs
-
-    variants = [
-        ("left_plain", "d(x left y) = dx left y", left_plain),
-        ("right_koszul_signed", "d(x right y) = (-1)^|x| x right dy", right_koszul_signed),
-        ("mid_koszul_signed", "d(x mid y) = dx mid y + (-1)^|x| x mid dy", mid_koszul_signed),
-    ]
-    for e1, e2 in [(1, -1), (1, 1), (-1, 1), (-1, -1)]:
-        name = f"corrected_mid(e1={e1:+d},e2={e2:+d})"
-        stmt = (
-            "d(x mid y) = dx mid y + (-1)^|x| x mid dy "
-            f"{'+' if e1 > 0 else '-'} x right y {'+' if e2 > 0 else '-'} x left y"
-        )
-        variants.append((name, stmt, corrected_mid(e1, e2)))
-    variants.append(("right_unsigned", "d(x right y) = x right dy", right_unsigned))
-    variants.append(
-        (
-            "discovered_mid",
-            "d(x mid y) = dx mid y + (-1)^(|x|+1) x mid dy"
-            " + [|x|=0] x right y + (-1)^(|x|+1) [|y|=0] x left y",
-            discovered_mid,
-        )
-    )
-    return variants
+def _dg_sides(rule, x: int, y: int, terms: dict) -> tuple[dict, dict]:
+    """Both sides of a rule of ``DG_RULES`` at the cell keys x and y, as
+    dicts on keys, from ``terms = dg_terms(x, y)``.  A key's degree is
+    its bit count less 2 (the arity bit and one element)."""
+    _, _, op, coefficients = rule
+    rhs: dict = {}
+    for term, c in coefficients(x.bit_count() - 2, y.bit_count() - 2).items():
+        if c:
+            _add_into(rhs, terms[term], c)
+    return terms[f"d(x {op} y)"], rhs
 
 
 def check_dg_rules(max_arity: int) -> dict:
-    """Test every candidate boundary/product rule on all basis-cell pairs
-    with arity sum <= max_arity and report which hold universally.
+    """Test every rule of ``DG_RULES`` on all basis-cell pairs with arity
+    sum <= max_arity, on keys, and report which hold universally.
 
     Candidates: the plain left rule, the right and mid rules carrying the
     classical Koszul sign (-1)^|x|, the four constant-correction variants
     of the signed mid rule, the sign-free right rule, and the degree-gated
     mid rule the discovery run certifies.  Failures come with the first
-    counterexample.  ``passed`` requires the discovery to pass and the
-    signed mid rule to fail on the generators.
+    counterexample, the only place cells are built.  ``passed`` requires
+    the discovery to pass and the signed mid rule to fail on the
+    generators.
     """
     require_bound(max_arity, 2, "cell pair")
-    variants = _dg_rule_variants()
     results = [
         {"name": name, "statement": stmt, "holds": True, "checked": 0, "counterexample": None}
-        for name, stmt, _ in variants
+        for name, stmt, _, _ in DG_RULES
     ]
     pairs = 0
-    for p in range(1, max_arity):
-        for q in range(1, max_arity - p + 1):
-            for x in enumerate_subset_cells(p):
-                for y in enumerate_subset_cells(q):
+    for n in range(1, max_arity):
+        for m in range(1, max_arity - n + 1):
+            for x in subset_keys(n):
+                for y in subset_keys(m):
                     pairs += 1
-                    for (_, _, fn), entry in zip(variants, results):
-                        lhs, rhs = fn(x, y)
+                    terms = dg_terms(x, y)
+                    for rule, entry in zip(DG_RULES, results):
+                        lhs, rhs = _dg_sides(rule, x, y, terms)
                         entry["checked"] += 1
                         if lhs != rhs and entry["holds"]:
                             entry["holds"] = False
                             entry["counterexample"] = {
-                                "x": x.literal(),
-                                "y": y.literal(),
-                                "lhs": str(lhs),
-                                "rhs": str(rhs),
+                                "x": key_literal(x),
+                                "y": key_literal(y),
+                                "lhs": str(_of_keys(lhs)),
+                                "rhs": str(_of_keys(rhs)),
                             }
     by_name = {e["name"]: e for e in results}
-    signed_mid = {name: fn for name, _, fn in variants}["mid_koszul_signed"]
-    gen_lhs, gen_rhs = signed_mid(OPERAD_UNIT, OPERAD_UNIT)
-    mid_variants = [e for e in results if "mid" in e["name"]]
-    universal_mid = [e["name"] for e in mid_variants if e["holds"]]
+    signed_mid = next(rule for rule in DG_RULES if rule[0] == "mid_koszul_signed")
+    gen_lhs, gen_rhs = _dg_sides(signed_mid, _UNIT_KEY, _UNIT_KEY, dg_terms(_UNIT_KEY, _UNIT_KEY))
+    mid_results = [e for rule, e in zip(DG_RULES, results) if rule[2] == "mid"]
+    universal_mid = [e["name"] for e in mid_results if e["holds"]]
     discovery_passed = (
         by_name["left_plain"]["holds"]
         and by_name["right_unsigned"]["holds"]

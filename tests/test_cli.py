@@ -430,6 +430,52 @@ def test_dend_mul_term_cap_boundary(capsys, monkeypatch, op):
     assert f"CELLS_CAP = {CELLS_CAP}" in captured.err
 
 
+def _comb_pairs():
+    """Every right comb with a left comb, of 1 to 5 internal vertices
+    each: the star products have up to D(5, 5) = 1,683 terms."""
+    rights = [_combs(i)[0] for i in range(1, 6)]
+    lefts = [_combs(j)[1] for j in range(1, 6)]
+    return [(x, y) for x in rights for y in lefts]
+
+
+def test_tree_literals_parse_back():
+    # the batch renderer and PlanarTree.literal give the literal that
+    # parses back to the tree itself
+    for x, y in _comb_pairs():
+        product = dendriform_mod.star(cells_mod.parse_tree(x), cells_mod.parse_tree(y))
+        trees = list(product.support())
+        for text, tree in zip(cells_mod.tree_literals(trees), trees, strict=True):
+            assert cells_mod.parse_tree(text) is tree
+            assert tree.literal() == text
+
+
+# sha256 of the concatenated stdout of `trioperad dend mul --op OP x y`
+# over _comb_pairs(), and of `trioperad dend power --n n` for n = 1..7; a
+# change to any rendered literal, term order or coefficient changes them
+DEND_MUL_COMBS_SHA256 = {
+    "prec": "9986ab076e7215e8486bed029d126cb3b0e004e681f4e6e950c24f4670820d9e",
+    "succ": "1ba62567a5087512b4985713495c82f55fc7a0bab7be2cc30def11d6552b22ae",
+    "mid": "1e92ae5a74a67ae66b42d8465256c8e9153a19b5e4fff1d69ed4968ea8286bb5",
+    "star": "cbd02cbf67302db722971276cd7b155cd8ed678e24b1ce956870f040be57a066",
+}
+DEND_POWER_SHA256 = "6e1d386ff792dd4089ab74b4ad92baf724cad7112967f961adb98c07e5962f3d"
+
+
+@pytest.mark.parametrize("op", sorted(DEND_MUL_COMBS_SHA256))
+def test_dend_mul_output_pinned(capsys, op):
+    for x, y in _comb_pairs():
+        assert run(["dend", "mul", "--op", op, x, y]) == 0
+    printed = capsys.readouterr().out
+    assert hashlib.sha256(printed.encode()).hexdigest() == DEND_MUL_COMBS_SHA256[op]
+
+
+def test_dend_power_output_pinned(capsys):
+    for n in range(1, 8):
+        assert run(["dend", "power", "--n", str(n)]) == 0
+    printed = capsys.readouterr().out
+    assert hashlib.sha256(printed.encode()).hexdigest() == DEND_POWER_SHA256
+
+
 def test_dend_mul_small_trees_are_accepted():
     # every pair with at most four leaves each: D(3, 3) = 63 at most
     trees = [t for n in range(1, 5) for t in cells_mod.enumerate_planar_trees(n)]

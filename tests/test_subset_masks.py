@@ -19,7 +19,6 @@ from trioperad.complexes import SIMPLEX_FACE_TABLE, collapse_vertex, simplex_fac
 from trioperad.linear import LinComb
 from trioperad.trialgebra import (
     boundary,
-    boundary_cell,
     gamma,
     left_cell,
     mid_cell,
@@ -132,7 +131,7 @@ def test_boundary_and_faces_match_reference():
     for n in range(1, 8):
         for x in ref_cells(n):
             cell = mask_cell(x)
-            got = sorted((b.literal(), c) for b, c in boundary_cell(cell))
+            got = sorted((b.literal(), c) for b, c in boundary(cell))
             assert got == sorted((ref_literal(b), c) for b, c in ref_boundary(x)), x
             assert cell.degree == len(x[1]) - 1
             for i in range(1, n):

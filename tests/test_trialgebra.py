@@ -1,7 +1,11 @@
 """Simplex-cell operad: composition, three products, boundary, dg rules."""
 
+import hashlib
+import json
+
 import pytest
 
+from trioperad.cells import cell_of_key, enumerate_subset_cells
 from trioperad.cells import parse_subset_cell as cell
 from trioperad.linear import LinComb
 from trioperad.relations import relation_statement
@@ -13,6 +17,7 @@ from trioperad.trialgebra import (
     check_dg_rules,
     check_operad_axioms,
     check_trialgebra_relations,
+    dg_terms,
     gamma,
     left_cell,
     mid_cell,
@@ -124,7 +129,7 @@ def test_boundary_of_vertex_is_zero():
 
 
 def test_boundary_squared_zero():
-    from trioperad.cells import enumerate_subset_cells
+    from trioperad.cells import cell_of_key, enumerate_subset_cells
 
     for n in range(1, 6):
         for c in enumerate_subset_cells(n):
@@ -170,3 +175,47 @@ def test_dg_signed_right_counterexample_is_reported():
     dg = check_dg_rules(4)
     bad = {r["name"]: r for r in dg["rules"]}["right_koszul_signed"]
     assert bad["counterexample"] is not None
+
+
+# sha256 of json.dumps(check_dg_rules(b)); a change to any rule
+# statement, case count or counterexample changes it
+DG_REPORT_SHA256 = {
+    2: "53a65e92090fc2d033e34357c47b3b88db071e1078a30dd3c43e6fed5fa9d861",
+    3: "54ba0c42479d282163014240d747f838d7de450c02a1ff87f8c3f2635e2eccde",
+    4: "ce927dbb3f29e887edc1d184e3caffc74caa7da25363f0629646eb8df4cf482d",
+    5: "abd8cb304ca42a6bc3029d33b68f519ab8ef61f3bfe6b34a7beeacc5a6e90e85",
+    6: "511ea848cb73717219a854144ba42bbdc06b4fbd772fe500c62625839afe4504",
+    7: "ff9dc97e2fe3f43a5f542c16c5d310d7e9a471de77212a23f3340f573b8032ff",
+}
+
+
+@pytest.mark.parametrize("bound", sorted(DG_REPORT_SHA256))
+def test_dg_report_pinned(bound):
+    printed = json.dumps(check_dg_rules(bound))
+    assert hashlib.sha256(printed.encode()).hexdigest() == DG_REPORT_SHA256[bound]
+
+
+def test_dg_terms_match_public_products():
+    # each key-level term against boundary and tri_* on cells, the
+    # LinComb path, for every pair with arity sum <= 6
+    pairs = 0
+    for p in range(1, 6):
+        for q in range(1, 7 - p):
+            for x in enumerate_subset_cells(p):
+                for y in enumerate_subset_cells(q):
+                    pairs += 1
+                    terms = dg_terms(x.key, y.key)
+                    assert len(terms) == 12
+                    for name, op in TRI_OPS.items():
+                        want = {
+                            f"d(x {name} y)": boundary(op(x, y)),
+                            f"dx {name} y": op(boundary(x), y),
+                            f"x {name} dy": op(x, boundary(y)),
+                            f"x {name} y": op(x, y),
+                        }
+                        for term, lin in want.items():
+                            got = {cell_of_key(k): c for k, c in terms[term].items()}
+                            assert LinComb(got) == lin, (term, x, y)
+    assert pairs == sum(
+        (2**p - 1) * (2**q - 1) for p in range(1, 6) for q in range(1, 7 - p)
+    )
