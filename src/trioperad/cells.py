@@ -217,7 +217,7 @@ class PlanarTree:
         return self.leaves - 1 - self.vertices
 
     def literal(self) -> str:
-        return tree_literals((self,))[0]
+        return _render(self, {})
 
     def __str__(self) -> str:
         return self.literal()
@@ -231,11 +231,14 @@ _SERIALS = itertools.count()
 LEAF = PlanarTree()
 
 
-def tree_literals(trees) -> list[str]:
+def tree_literals(trees: "list[PlanarTree] | tuple[PlanarTree, ...]") -> list[str]:
     """The literals of a batch of trees.  Each distinct proper subtree is
-    rendered once, through a memo that lives for this call only, so no
-    string outlives the batch."""
+    rendered once, into a memo that lives for this call only and is filled
+    by a first pass, before any literal is kept: the memo's strings then
+    share little memory with the literals, which lowers a large batch's peak."""
     memo: dict = {}
+    for t in trees:
+        _render(t, memo)
     return [_render(t, memo) for t in trees]
 
 

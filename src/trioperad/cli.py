@@ -24,6 +24,7 @@ import os
 import sys
 from fractions import Fraction
 from itertools import islice
+from operator import itemgetter
 
 from . import cells as cells_mod
 from . import complexes, dendriform, duality, trialgebra
@@ -43,8 +44,8 @@ def _terms(lin: LinComb, key: str) -> list[dict]:
     batch, each distinct subtree once."""
     bases = list(lin.support())
     texts = cells_mod.tree_literals(bases) if key == "tree" else [b.literal() for b in bases]
-    terms = sorted(zip(texts, (c for _, c in lin)))
-    return [{"coeff": str(c), key: text} for text, c in terms]
+    terms = [{"coeff": str(c), key: text} for text, (_, c) in zip(texts, lin)]
+    return sorted(terms, key=itemgetter(key))
 
 
 def _emit_json(payload) -> None:
