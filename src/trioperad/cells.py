@@ -279,40 +279,40 @@ def parse_tree(text: str) -> PlanarTree:
     """Parse the grammar  tree := '|' | '(' tree (',' tree)+ ')', nested
     at most TREE_DEPTH_CAP deep."""
     s = text.strip()
-    tree, pos = _parse_tree_at(s, 0, 0)
-    if pos != len(s):
-        raise ValueError(f"trailing input at position {pos} in tree literal {text!r}")
+    try:
+        tree, pos = _parse_tree_at(s, 0, 0)
+        if pos != len(s):
+            raise ValueError(f"trailing input at position {pos}")
+    except ValueError as exc:
+        raise ValueError(
+            f"bad tree literal {text!r}: {exc} (grammar: '|' or '(t,t,...)')"
+        ) from None
     return tree
 
 
 def _parse_tree_at(s: str, pos: int, depth: int) -> tuple[PlanarTree, int]:
     if pos >= len(s):
-        raise ValueError("unexpected end of tree literal (grammar: '|' or '(t,t,...)')")
+        raise ValueError("unexpected end")
     if s[pos] == "|":
         return LEAF, pos + 1
     if s[pos] != "(":
-        raise ValueError(
-            f"unexpected {s[pos]!r} at position {pos} (grammar: '|' or '(t,t,...)')"
-        )
+        raise ValueError(f"unexpected {s[pos]!r} at position {pos}")
     if depth == TREE_DEPTH_CAP:
-        raise ValueError(
-            f"tree literal nested deeper than TREE_DEPTH_CAP = {TREE_DEPTH_CAP} "
-            f"at position {pos} (grammar: '|' or '(t,t,...)')"
-        )
+        raise ValueError(f"nested past TREE_DEPTH_CAP = {TREE_DEPTH_CAP} at position {pos}")
     pos += 1
     children = []
     while True:
         child, pos = _parse_tree_at(s, pos, depth + 1)
         children.append(child)
         if pos >= len(s):
-            raise ValueError("unterminated '(' in tree literal")
+            raise ValueError("unterminated '('")
         if s[pos] == ",":
             pos += 1
             continue
         if s[pos] == ")":
             pos += 1
             break
-        raise ValueError(f"expected ',' or ')' at position {pos} in tree literal")
+        raise ValueError(f"expected ',' or ')' at position {pos}")
     if len(children) < 2:
         raise ValueError("internal vertices need >= 2 children")
     return PlanarTree(tuple(children)), pos

@@ -81,6 +81,24 @@ CELLS_CAP = 10**6
 # order (about 0.7 s at 100 and 10 s at 200 on a shared 2-vCPU VM).
 SERIES_ORDER_CAP = 100
 
+# The most `series --order` times the digits of `--t-eval`: a value at t
+# has at most that many digits plus the coefficient's own (under 80 at
+# order 100), so it stays below Python's 4300-digit limit on printing an
+# int.  The literal is measured from its text, before it is built:
+# `Fraction('1e20000000')` alone takes 24 s.
+T_EVAL_DIGITS_CAP = 4000
+_T_EVAL_GRAMMAR = "--t-eval takes a rational such as 2, -3 or 1/2, or a decimal such as 2.5e-3"
+
+
+def _t_eval_digits(text: str) -> int:
+    """D with the numerator and denominator of Fraction(text) at most 10^D:
+    the digits before any exponent plus the exponent (10^18 if it is too
+    long to read).  A malformed literal is left to Fraction() to reject."""
+    mantissa, _, exp = text.lower().partition("e")
+    exp = exp.strip().lstrip("+-").replace("_", "").lstrip("0")
+    exp = exp if exp.isdigit() else "0"
+    return sum(map(str.isdigit, mantissa)) + (int(exp) if len(exp) <= 18 else 10**18)
+
 
 def _over_cap(family: str, arity: int) -> bool:
     """Whether the family has more than CELLS_CAP cells at arity >= 1.
@@ -188,9 +206,7 @@ def _cmd_tri_boundary(args) -> int:
             f"the boundary of a {k}-element cell at arity {n} is too large: "
             f"k*(k + n) = {k * (k + n)} is above 4*CELLS_CAP = {4 * CELLS_CAP}"
         )
-    _emit_json(
-        {"cell": x.literal(), "boundary": _terms(trialgebra.boundary(x), "cell")}
-    )
+    _emit_json({"cell": x.literal(), "boundary": _terms(trialgebra.boundary(x), "cell")})
     return 0
 
 
@@ -206,15 +222,8 @@ def _cmd_dend_mul(args) -> int:
             f"number of x's rightmost and y's leftmost path), more than "
             f"CELLS_CAP = {CELLS_CAP}; use shallower trees"
         )
-    result = dendriform.DEND_OPS[args.op](x, y)
-    _emit_json(
-        {
-            "op": args.op,
-            "x": x.literal(),
-            "y": y.literal(),
-            "result": _terms(result, "tree"),
-        }
-    )
+    result = _terms(dendriform.DEND_OPS[args.op](x, y), "tree")
+    _emit_json({"op": args.op, "x": x.literal(), "y": y.literal(), "result": result})
     return 0
 
 
@@ -256,17 +265,13 @@ def _cmd_complex_build(args) -> int:
     hom = complexes.homology_ranks(gc) if "betti" in wanted else None
     if "dims" in wanted:
         payload["per_n"] = [
-            {
-                "n": n,
-                "dim": len(basis),
-                "rank_d": (hom["ranks"].get(n) if hom else None),
-            }
+            {"n": n, "dim": len(basis), "rank_d": hom["ranks"].get(n) if hom else None}
             for n, basis in sorted(gc.levels.items())
         ]
     if "d2" in wanted:
         payload["d_squared_zero"] = gc.d_squared_zero
         ok = ok and gc.d_squared_zero
-    if "betti" in wanted and hom is not None:
+    if hom:
         payload["betti"] = hom["betti"]
     _emit_json(payload)
     return 0 if ok else 1
@@ -280,12 +285,18 @@ def _cmd_series(args) -> int:
             f"--order {args.order} is above SERIES_ORDER_CAP = {SERIES_ORDER_CAP}; "
             "use a smaller --order"
         )
-    try:
-        q = None if args.t_eval is None else Fraction(args.t_eval)
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(
-            f"--t-eval takes a rational number such as 2, -3 or 1/2, got {args.t_eval!r}"
-        ) from None
+    q = None
+    if args.t_eval is not None:
+        if args.order * _t_eval_digits(args.t_eval) > T_EVAL_DIGITS_CAP:
+            raise ValueError(
+                f"--t-eval {args.t_eval!r} has more than {T_EVAL_DIGITS_CAP // args.order} "
+                f"digits, the most --order {args.order} allows (T_EVAL_DIGITS_CAP = "
+                f"{T_EVAL_DIGITS_CAP} over the order); {_T_EVAL_GRAMMAR}"
+            )
+        try:
+            q = Fraction(args.t_eval)
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"{_T_EVAL_GRAMMAR}, got {args.t_eval!r}") from None
     maker = {
         "delta": series_mod.f_delta,
         "stasheff": series_mod.f_stasheff,
@@ -367,14 +378,9 @@ def certify_all(level: str = "quick") -> dict:
     families = {}
     for family in (complexes.SIMPLEX_FAMILY, complexes.TREE_FAMILY):
         per_weight = [complexes.weight_report(family, w) for w in range(1, max_weight + 1)]
-        families[family] = {
-            "passed": all(e["passed"] for e in per_weight),
-            "per_weight": per_weight,
-        }
-    sections["complexes"] = {
-        "passed": all(f["passed"] for f in families.values()),
-        **families,
-    }
+        passed = all(e["passed"] for e in per_weight)
+        families[family] = {"passed": passed, "per_weight": per_weight}
+    sections["complexes"] = {"passed": all(f["passed"] for f in families.values()), **families}
     sections["series"] = series_identities_report(12)
     return {
         "level": level,

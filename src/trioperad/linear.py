@@ -8,13 +8,12 @@ constructor of the product hot paths: it takes ownership of a dict with
 no zero coefficients and wraps it without a copy, so a product adds all
 its terms into one dict (``_add_into``) and builds one ``LinComb``.
 
-``rank`` is the one elimination engine: fraction-free (integer
-cross-multiplication with per-row gcd reduction after clearing
-denominators) with deterministic pivoting.  The pivot row is the
-shortest active row, taken from a length heap; the pivot column is its
-column held by the fewest rows; a column index finds the rows to
-eliminate, so no step scans all active rows.  Entries must be ``int`` or
-``Fraction``; the package never produces a float.
+``rank`` is the one elimination engine: fraction-free (cross-multiplying
+integer rows, each reduced by its gcd) with deterministic pivoting: the
+pivot row is the shortest active row, from a length heap; the pivot
+column is its column held by the fewest rows; a column index finds the
+rows to eliminate.  Entries are ``int`` (a ``Fraction`` or float raises
+``TypeError``), and ``rank`` never modifies an input row.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from __future__ import annotations
 from collections.abc import Hashable, Iterable, Mapping
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd, lcm
+from math import gcd
 
 
 # =====================================================================
@@ -146,43 +145,30 @@ def as_lincomb(x) -> LinComb:
 # =====================================================================
 
 
-def _integer_row(row) -> dict[int, int]:
-    """Clear denominators and divide by the content; row scaling keeps rank.
-
-    Entries must be ``int`` or ``Fraction``; anything else (a float
-    included) raises ``TypeError``.  Entries that are zero after clearing
-    are dropped.
-    """
-    items = row.items() if isinstance(row, Mapping) else enumerate(row)
-    entries = []
-    denom = 1
-    for c, v in items:
-        if isinstance(v, Fraction):
-            denom = lcm(denom, v.denominator)
-        elif not isinstance(v, int):
-            raise TypeError(
-                f"rank entries must be int or Fraction, got {type(v).__name__} {v!r}"
-            )
-        entries.append((int(c), v))
-    ints = {}
-    g = 0
-    for c, v in entries:
-        w = int(v * denom)
-        if w:
-            ints[c] = w
-            g = gcd(g, w)
-    if g > 1:
-        ints = {c: v // g for c, v in ints.items()}
-    return ints
+def _integer_row(row) -> dict:
+    """The row as a {column: int} dict with no zero entry and content 1;
+    dividing a row by its content keeps the rank.  A dict row already in
+    that form is returned itself, not copied."""
+    if not isinstance(row, dict):
+        # dict() reads any mapping through its keys; other rows are dense
+        row = dict(row) if hasattr(row, "keys") else dict(enumerate(row))
+    try:
+        g = gcd(*row.values())
+    except TypeError as exc:
+        raise TypeError(f"rank entries must be int: {exc}") from None
+    if g == 1 and 0 not in row.values():
+        return row
+    return {c: v // g for c, v in row.items() if v}
 
 
 def rank(rows: Iterable) -> int:
     """Rank over the rationals of a matrix given as rows.
 
-    Rows may be dense sequences or sparse {column: coefficient} mappings
-    with int or Fraction entries.  Fraction-free: rows are cleared to
-    integers, elimination uses cross-multiplication, and every updated row
-    is reduced by its gcd to control growth.
+    Rows may be dense sequences or sparse {column: coefficient} dicts
+    (or other mappings) with ``int`` entries; a ``Fraction`` or float
+    entry raises ``TypeError``.  No row is modified: elimination builds
+    new rows by cross-multiplication, each reduced by its gcd to control
+    growth.
 
     Pivot choice is deterministic and no step scans all active rows.  The
     pivot row is the shortest active row (lowest row id on ties), taken
@@ -225,9 +211,7 @@ def rank(rows: Iterable) -> int:
                 w = r.get(c, 0) * pv - pivot_row.get(c, 0) * rv
                 if w:
                     new[c] = w
-            g = 0
-            for v in new.values():
-                g = gcd(g, v)
+            g = gcd(*new.values())
             if g > 1:
                 new = {c: v // g for c, v in new.items()}
             for c in r.keys() - new.keys():

@@ -183,9 +183,12 @@ def test_tree_parse_roundtrip():
 
 
 def test_tree_parse_errors():
-    for bad in ("", "(", "(|)", "(|,|", "(|,|))", "x"):
-        with pytest.raises(ValueError):
+    for bad in ("", "(", "(|)", "(|,|", "(|,|))", "x", "(|,|)x", "(|;|)", _nested(51)):
+        with pytest.raises(ValueError) as info:
             parse_tree(bad)
+        message = str(info.value)
+        assert message.startswith(f"bad tree literal {bad!r}: ")
+        assert message.endswith("(grammar: '|' or '(t,t,...)')")
 
 
 def _nested(depth: int) -> str:

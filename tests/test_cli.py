@@ -4,6 +4,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -16,6 +17,7 @@ from trioperad.cli import (
     CELLS_CAP,
     CHECK_CAP,
     SERIES_ORDER_CAP,
+    T_EVAL_DIGITS_CAP,
     _cells_for,
     _dimensions_report,
     certify_all,
@@ -606,6 +608,36 @@ def test_series_bad_t_eval_exits_2(capsys, value):
     assert captured.out == ""
     assert "2, -3 or 1/2" in captured.err
     assert repr(value) in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--family", "delta", "--t-eval", "1e20000000"],
+        ["--family", "stasheff", "--order", "100", "--t-eval", "1e45"],
+    ],
+)
+def test_series_huge_t_eval_exits_2_at_once(capsys, argv):
+    start = time.perf_counter()
+    code = run(["series", *argv])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"T_EVAL_DIGITS_CAP = {T_EVAL_DIGITS_CAP}" in captured.err
+    assert "2, -3 or 1/2" in captured.err
+    assert elapsed < 1
+
+
+def test_series_largest_t_eval_prints(capsys):
+    # order x digits at the cap: every value prints in full
+    t = "9" * (T_EVAL_DIGITS_CAP // 100)
+    code, payload = run_json(
+        capsys, ["series", "--family", "stasheff", "--order", "100", "--t-eval", t]
+    )
+    assert code == 0
+    last = payload["coefficients"][-1][f"value at t={t}"]
+    assert len(last) > 0.99 * T_EVAL_DIGITS_CAP
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "text"])

@@ -1,10 +1,13 @@
 """Exact linear algebra: LinComb and rank."""
 
+import copy
 import random
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 
+from trioperad.complexes import build_complex
 from trioperad.linear import LinComb, as_lincomb, rank
 
 
@@ -86,15 +89,46 @@ def test_rank_known_matrices():
     assert rank([{0: 1}, {1: 1}, {2: 1}]) == 3
     assert rank([{0: 1, 1: 1}, {0: 2, 1: 2}]) == 1
     assert rank([[1, 2], [2, 4], [1, 0]]) == 2
-    assert rank([[Fraction(1, 2), Fraction(1, 3)]]) == 1
-    assert rank([{0: 0}, [0, 0], [Fraction(0), 0]]) == 0
-    assert rank([{0: 0, 1: 2}, {1: Fraction(-1, 3)}]) == 1
+    assert rank([[3, 2]]) == 1
+    assert rank([{0: 0}, [0, 0], {}]) == 0
+    assert rank([{0: 0, 1: 2}, {1: -3}]) == 1
+    # a mapping that is not a dict is read by its items, never by position
+    assert rank([MappingProxyType({1: 1}), {0: 1}]) == 2
+    assert rank([MappingProxyType({1: 2, 0: 0}), {1: 1}]) == 1
 
 
 def test_rank_rejects_float_entries():
     for rows in ([[0.5, 0.5], [1, 2]], [{0: 0.5}], [[1, 2.0]]):
-        with pytest.raises(TypeError, match="int or Fraction"):
+        with pytest.raises(TypeError, match="must be int"):
             rank(rows)
+
+
+def test_rank_rejects_fraction_entries():
+    # integral Fractions too: every coefficient in the package is an int
+    for rows in ([[Fraction(1, 2), 1]], [{0: 1}, {1: Fraction(2)}], [[Fraction(0), 0]]):
+        with pytest.raises(TypeError, match="must be int"):
+            rank(rows)
+
+
+def test_rank_leaves_rows_unchanged():
+    cases = [
+        rows
+        for family in ("simplex", "tree")
+        for w in range(1, 6)
+        for rows in build_complex(family, w).diff.values()
+    ]
+    shared = {0: 2, 1: 4}
+    cases += [
+        # content > 1, explicit zeros, dense rows, one dict passed twice
+        [{0: 6, 2: -4}, {0: 3, 1: 0, 2: -2}, {1: 5, 2: 0}],
+        [[2, 4, 0], [0, 3, 3], [1, 2, 0], [0, 0, 0]],
+        [shared, {1: 1, 2: 1}, shared, {0: 1}],
+        [{0: 1, 1: 1, 2: 1}, {0: 1}, {1: 1, 2: 1}],
+    ]
+    for rows in cases:
+        before = copy.deepcopy(rows)
+        rank(rows)
+        assert rows == before
 
 
 def test_rank_fill_in_regression():
@@ -110,13 +144,10 @@ def test_rank_fuzz_against_independent_referee():
         n = random.randint(1, 10)
         rows = []
         for _ in range(m):
-            row = {
-                j: Fraction(random.randint(-4, 4), random.randint(1, 3))
-                for j in range(n)
-                if random.random() < 0.5
-            }
+            scale = random.choice((1, 1, 2, 6))
+            row = {j: scale * random.randint(-4, 4) for j in range(n) if random.random() < 0.5}
             rows.append({k: v for k, v in row.items() if v})
-        dense = [[rows[i].get(j, Fraction(0)) for j in range(n)] for i in range(m)]
+        dense = [[rows[i].get(j, 0) for j in range(n)] for i in range(m)]
         assert rank(rows) == naive_dense_rank(dense)
 
 
