@@ -364,48 +364,73 @@ class LeafOrientation(Enum):
     MIDDLE = "middle"
 
 
+def leaf_faces(t: PlanarTree, memo: dict | None = None) -> tuple:
+    """For every leaf i = 1..t.leaves, in order, the pair
+    (``remove_leaf(t, i)``, ``leaf_orientation(t, i)``).
+
+    The one definition of leaf deletion, in one pass: the table of each
+    child is computed once and each of its faces grafted back in the
+    child's place.  ``memo`` (tree -> its table) keeps the tables, so
+    trees that share subtrees, such as all coefficients of one complex,
+    build each subtree's table once; its owner decides how long it lives.
+    """
+    if t.is_leaf:
+        raise ValueError("the one-leaf tree has no leaf faces")
+    return _leaf_faces(t, {} if memo is None else memo)
+
+
+def _leaf_faces(t: PlanarTree, memo: dict) -> tuple:
+    out = memo.get(t)
+    if out is not None:
+        return out
+    out = []
+    kids = t.children
+    last = len(kids) - 1
+    for idx, child in enumerate(kids):
+        head, tail = kids[:idx], kids[idx + 1 :]
+        if child.is_leaf:
+            # a vertex left with a single child is contracted away
+            rest = head + tail
+            orientation = (
+                LeafOrientation.LEFT
+                if idx == 0
+                else LeafOrientation.RIGHT
+                if idx == last
+                else LeafOrientation.MIDDLE
+            )
+            out.append((rest[0] if len(rest) == 1 else PlanarTree(rest), orientation))
+        else:
+            out.extend(
+                (PlanarTree(head + (sub,) + tail), orientation)
+                for sub, orientation in _leaf_faces(child, memo)
+            )
+    out = memo[t] = tuple(out)
+    return out
+
+
+def _check_leaf(t: PlanarTree, i: int, why: str) -> None:
+    if t.is_leaf:
+        raise ValueError(why)
+    if not 1 <= i <= t.leaves:
+        raise ValueError(f"leaf index {i} out of range 1..{t.leaves}")
+
+
 def leaf_orientation(t: PlanarTree, i: int) -> LeafOrientation:
     """Orientation of leaf i (1-based, left to right).
 
     A leaf is LEFT if it is the first child of its parent, RIGHT if the
-    last, MIDDLE otherwise.
+    last, MIDDLE otherwise.  Read off ``leaf_faces``, whose table covers
+    every leaf: to visit many leaves of one tree, read that table once.
     """
-    if t.is_leaf:
-        raise ValueError("the one-leaf tree has no oriented leaves")
-    if not 1 <= i <= t.leaves:
-        raise ValueError(f"leaf index {i} out of range 1..{t.leaves}")
-    acc = 0
-    for idx, child in enumerate(t.children):
-        if i <= acc + child.leaves:
-            if child.is_leaf:
-                if idx == 0:
-                    return LeafOrientation.LEFT
-                if idx == len(t.children) - 1:
-                    return LeafOrientation.RIGHT
-                return LeafOrientation.MIDDLE
-            return leaf_orientation(child, i - acc)
-        acc += child.leaves
-    raise AssertionError("unreachable")
+    _check_leaf(t, i, "the one-leaf tree has no oriented leaves")
+    return leaf_faces(t)[i - 1][1]
 
 
 def remove_leaf(t: PlanarTree, i: int) -> PlanarTree:
-    """Delete leaf i; a vertex left with a single child is contracted away."""
-    if t.is_leaf:
-        raise ValueError("cannot remove the only leaf")
-    if not 1 <= i <= t.leaves:
-        raise ValueError(f"leaf index {i} out of range 1..{t.leaves}")
-    acc = 0
-    for idx, child in enumerate(t.children):
-        if i <= acc + child.leaves:
-            if child.is_leaf:
-                rest = t.children[:idx] + t.children[idx + 1 :]
-                if len(rest) == 1:
-                    return rest[0]
-                return PlanarTree(rest)
-            new_child = remove_leaf(child, i - acc)
-            return PlanarTree(t.children[:idx] + (new_child,) + t.children[idx + 1 :])
-        acc += child.leaves
-    raise AssertionError("unreachable")
+    """Delete leaf i; a vertex left with a single child is contracted
+    away.  Read off ``leaf_faces``, like ``leaf_orientation``."""
+    _check_leaf(t, i, "cannot remove the only leaf")
+    return leaf_faces(t)[i - 1][0]
 
 
 # =====================================================================

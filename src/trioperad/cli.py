@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from itertools import islice
@@ -472,9 +473,38 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# argparse reads a token that starts with "-" as an option unless it looks
+# like a negative int or plain decimal, so it refuses `--t-eval -1/2` and
+# `--t-eval -2.5e-3` with "expected one argument".  A value that starts
+# like a negative number is joined to the option (or a prefix of it that
+# argparse accepts) as `--t-eval=-1/2`; _cmd_series then parses it.
+_NEGATIVE_VALUE = re.compile(r"-\.?\d")
+
+
+def _join_negative_t_eval(argv: list[str]) -> list[str]:
+    if argv[:1] != ["series"]:
+        return argv
+    out: list[str] = []
+    k = 0
+    while k < len(argv):
+        tok = argv[k]
+        if (
+            len(tok) >= 3
+            and "--t-eval".startswith(tok)
+            and k + 1 < len(argv)
+            and _NEGATIVE_VALUE.match(argv[k + 1])
+        ):
+            out.append("--t-eval=" + argv[k + 1])
+            k += 2
+        else:
+            out.append(tok)
+            k += 1
+    return out
+
+
 def run(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_t_eval(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.fn(args)
     except (ValueError, ZeroDivisionError) as exc:

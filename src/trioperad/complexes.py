@@ -40,8 +40,12 @@ serves as the reference in the tests.
   ``offset[comp] + c * P + sum_k f_k * stride_k``, where c and f_k are
   positions in the coefficient and factor enumerations, P is the product
   of the factor counts and stride_k the product of those after slot k.
-* Face table.  Per coefficient and face i, computed once from ``face``:
-  the id of the face coefficient and the merging product.
+* Face table.  Per coefficient and face i, computed once before the
+  bases: the id of the face coefficient and the merging product.  A
+  tree convention reads all faces of a coefficient off one
+  ``cells.leaf_faces`` table (its ``all_faces``), with a memo of subtree
+  tables that is dropped before the bases are built; a convention
+  without ``all_faces`` is called once per face.
 * Product tables.  Per (product, w_i, w_{i+1}), computed once: the
   product of every factor pair as (factor id, coefficient) terms.
 
@@ -66,6 +70,7 @@ from .cells import (
     compositions,
     enumerate_planar_trees,
     enumerate_subset_cells,
+    leaf_faces,
     leaf_orientation,
     remove_leaf,
 )
@@ -136,12 +141,19 @@ def simplex_face(table=SIMPLEX_FACE_TABLE):
 def tree_face(leaf_offset: int = TREE_FACE_LEAF_OFFSET, ops=TREE_FACE_OPS):
     """The tree-family face convention: face i removes leaf i +
     ``leaf_offset`` of the coefficient tree and merges the factors with
-    the product ``ops`` assigns to that leaf's orientation."""
+    the product ``ops`` assigns to that leaf's orientation.  Its
+    ``all_faces(tree, memo)`` gives faces 1..n-1 at once, from one
+    ``leaf_faces`` table."""
 
     def face(tree: PlanarTree, i: int):
         leaf = i + leaf_offset
         return remove_leaf(tree, leaf), ops[leaf_orientation(tree, leaf)]
 
+    def all_faces(tree: PlanarTree, memo: dict) -> list:
+        table = leaf_faces(tree, memo)[leaf_offset : leaf_offset + tree.leaves - 2]
+        return [(low, ops[orientation]) for low, orientation in table]
+
+    face.all_faces = all_faces
     return face
 
 
@@ -218,6 +230,28 @@ def level_dims(family: str, weight: int) -> dict[int, int]:
     }
 
 
+def _face_tables(face, coeffs: dict[int, list], weight: int) -> dict[int, list]:
+    """Per level n >= 2, per coefficient, its faces i = 1..n-1 as (id of
+    the face coefficient at level n-1, merging product).  A convention
+    with ``all_faces`` gives all faces of a coefficient at once, sharing
+    a memo that lives for this call only."""
+    all_faces = getattr(face, "all_faces", None)
+    memo: dict = {}
+    tables = {}
+    for n in range(2, weight + 1):
+        lower_ids = {c: k for k, c in enumerate(coeffs[n - 1])}
+        tables[n] = [
+            [
+                (lower_ids[low], op)
+                for low, op in (
+                    all_faces(c, memo) if all_faces else (face(c, i) for i in range(1, n))
+                )
+            ]
+            for c in coeffs[n]
+        ]
+    return tables
+
+
 def build_complex(family: str, weight: int, face=None) -> GradedComplex:
     """Assemble bases and boundary matrices for weight ``weight`` under
     the face convention ``face`` (None: the pinned one) and verify
@@ -228,10 +262,11 @@ def build_complex(family: str, weight: int, face=None) -> GradedComplex:
     gc = GradedComplex(family=family, weight=weight)
     factors = {w: _arity_basis(_dual(family), w) for w in range(1, weight + 1)}
     sizes = {w: len(fs) for w, fs in factors.items()}
-    coeffs: dict[int, list] = {}
+    coeffs = {n: _arity_basis(family, n) for n in range(1, weight + 1)}
+    # before the bases: the faces' memo is gone before the large lists exist
+    face_tables = _face_tables(face, coeffs, weight)
     blocks: dict[int, dict[tuple, int]] = {}
     for n in range(1, weight + 1):
-        coeffs[n] = _arity_basis(family, n)
         basis: list = []
         blocks[n] = {}
         for comp in compositions(weight, n):
@@ -256,11 +291,7 @@ def build_complex(family: str, weight: int, face=None) -> GradedComplex:
         return products[key]
 
     for n in range(2, weight + 1):
-        lower_ids = {c: k for k, c in enumerate(coeffs[n - 1])}
-        faces = [
-            [(lower_ids[low], op) for low, op in (face(c, i) for i in range(1, n))]
-            for c in coeffs[n]
-        ]
+        faces = face_tables[n]
         rows: list[dict[int, int]] = [{} for _ in gc.levels[n]]
         # one int object per column, shared by every row that holds it
         col_ids = list(range(len(gc.levels[n - 1])))

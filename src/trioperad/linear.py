@@ -12,8 +12,13 @@ its terms into one dict (``_add_into``) and builds one ``LinComb``.
 integer rows, each reduced by its gcd) with deterministic pivoting: the
 pivot row is the shortest active row, from a length heap; the pivot
 column is its column held by the fewest rows; a column index finds the
-rows to eliminate.  Entries are ``int`` (a ``Fraction`` or float raises
-``TypeError``), and ``rank`` never modifies an input row.
+rows to eliminate.  An update walks only the pivot row: it copies the
+target row and adds to it a multiple of the pivot row, entry by entry.
+A pivot of +-1, every pivot of the chain complexes, needs no
+cross-multiplication: r - (r_c * p_c) * p is the cross-multiplied row
+times p_c, with the same support and content.  Entries are ``int`` (a
+``Fraction`` or float raises ``TypeError``), and ``rank`` never modifies
+an input row.
 """
 
 from __future__ import annotations
@@ -166,8 +171,13 @@ def rank(rows: Iterable) -> int:
 
     Rows may be dense sequences or sparse {column: coefficient} dicts
     (or other mappings) with ``int`` entries; a ``Fraction`` or float
-    entry raises ``TypeError``.  No row is modified: elimination builds
-    new rows by cross-multiplication, each reduced by its gcd to control
+    entry raises ``TypeError``.  No row is modified: an update copies the
+    target row r and walks the pivot row p once, adding to r where an
+    entry appears and deleting where one cancels.  With pivot entry p_c
+    = +-1 it subtracts (r_c * p_c) * p, which is the cross-multiplied row
+    p_c * r - r_c * p times p_c: the same support and content, so the
+    pivots and the rank are those of cross-multiplication, which every
+    other pivot uses.  Each new row is reduced by its gcd to control
     growth.
 
     Pivot choice is deterministic and no step scans all active rows.  The
@@ -177,7 +187,7 @@ def rank(rows: Iterable) -> int:
     column held by the fewest active rows, then the lowest column.  A
     column index (column -> ids of the active rows holding it) gives those
     counts and the rows to eliminate; each update changes it only for the
-    columns a row loses or gains.
+    pivot-row columns where an entry appears or cancels.
     """
     active: dict[int, dict[int, int]] = {}
     cols: dict[int, set[int]] = {}
@@ -199,26 +209,46 @@ def rank(rows: Iterable) -> int:
         pc = min(pivot_row, key=lambda c: (len(cols[c]), c))
         pv = pivot_row[pc]
         rk += 1
-        for c in pivot_row:
+        # no row gains column pc from here on: only pivot rows bring new
+        # columns, and every later pivot row lacks pc
+        holders = cols.pop(pc)
+        holders.discard(pid)
+        rest = [(c, v) for c, v in pivot_row.items() if c != pc]
+        for c, _ in rest:
             cols[c].discard(pid)
-        for rid in sorted(cols[pc]):
+        unit = pv == 1 or pv == -1
+        # an update adds f times the rest of the pivot row; with entries
+        # +-1, f is nearly always +-1, so both are built once per pivot
+        neg = [(c, -v) for c, v in rest]
+        for rid in sorted(holders):
             r = active[rid]
             rv = r[pc]
-            new = {}
-            # union of supports: fill-in appears where only the pivot row
-            # has an entry
-            for c in r.keys() | pivot_row.keys():
-                w = r.get(c, 0) * pv - pivot_row.get(c, 0) * rv
-                if w:
-                    new[c] = w
-            g = gcd(*new.values())
-            if g > 1:
-                new = {c: v // g for c, v in new.items()}
-            for c in r.keys() - new.keys():
-                cols[c].discard(rid)
-            for c in new.keys() - r.keys():
-                cols.setdefault(c, set()).add(rid)
+            if unit:
+                # r - (rv * pv) * pivot_row: the cross-multiplied row times
+                # pv, so the same support and content
+                new = dict(r)
+                f = -rv * pv
+            else:
+                new = {c: v * pv for c, v in r.items()}
+                f = -rv
+            del new[pc]
+            delta = rest if f == 1 else neg if f == -1 else [(c, f * v) for c, v in rest]
+            # only the pivot row's columns change: an entry appears
+            # (fill-in) or cancels
+            for c, d in delta:
+                w = new.get(c)
+                if w is None:
+                    new[c] = d
+                    cols[c].add(rid)
+                elif w + d:
+                    new[c] = w + d
+                else:
+                    del new[c]
+                    cols[c].discard(rid)
             if new:
+                g = gcd(*new.values())
+                if g > 1:
+                    new = {c: v // g for c, v in new.items()}
                 active[rid] = new
                 heappush(heap, (len(new), rid))
             else:

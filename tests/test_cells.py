@@ -21,6 +21,7 @@ from trioperad.cells import (
     enumerate_planar_trees,
     enumerate_subset_cells,
     graft,
+    leaf_faces,
     leaf_orientation,
     parse_cube_cell,
     parse_subset_cell,
@@ -246,6 +247,51 @@ def test_remove_leaf_errors():
         remove_leaf(LEAF, 1)
     with pytest.raises(ValueError):
         remove_leaf(parse_tree("(|,|)"), 3)
+
+
+def _slow_leaf_face(t, i):
+    """Reference for leaf i of t: walk down to it by the children's leaf
+    counts, delete it there (a vertex left with one child is contracted)
+    and read its orientation off its place among its siblings."""
+    acc = 0
+    for idx, child in enumerate(t.children):
+        if i <= acc + child.leaves:
+            head, tail = t.children[:idx], t.children[idx + 1 :]
+            if child.is_leaf:
+                rest = head + tail
+                if idx == 0:
+                    side = LeafOrientation.LEFT
+                elif not tail:
+                    side = LeafOrientation.RIGHT
+                else:
+                    side = LeafOrientation.MIDDLE
+                return (rest[0] if len(rest) == 1 else graft(rest)), side
+            sub, side = _slow_leaf_face(child, i - acc)
+            return graft(head + (sub,) + tail), side
+        acc += child.leaves
+    raise AssertionError(f"no leaf {i} in {t}")
+
+
+def test_leaf_faces_match_the_slow_reference():
+    memo = {}
+    for n in range(2, 9):
+        for t in enumerate_planar_trees(n):
+            want = tuple(_slow_leaf_face(t, i) for i in range(1, n + 1))
+            # a memo shared by all trees, and none
+            assert leaf_faces(t, memo) == want
+            assert leaf_faces(t) == want
+            for i, (low, side) in enumerate(want, start=1):
+                assert remove_leaf(t, i) is low
+                assert leaf_orientation(t, i) is side
+
+
+def test_leaf_faces_of_the_one_leaf_tree_raise():
+    with pytest.raises(ValueError, match="one-leaf tree"):
+        leaf_faces(LEAF)
+    with pytest.raises(ValueError, match="one-leaf tree"):
+        leaf_orientation(LEAF, 1)
+    with pytest.raises(ValueError, match="out of range"):
+        leaf_orientation(parse_tree("(|,|)"), 0)
 
 
 # ----------------------------------------------------------- hash-consing

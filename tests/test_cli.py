@@ -18,6 +18,7 @@ from trioperad.cli import (
     CHECK_CAP,
     SERIES_ORDER_CAP,
     T_EVAL_DIGITS_CAP,
+    _T_EVAL_GRAMMAR,
     _cells_for,
     _dimensions_report,
     certify_all,
@@ -608,6 +609,53 @@ def test_series_bad_t_eval_exits_2(capsys, value):
     assert captured.out == ""
     assert "2, -3 or 1/2" in captured.err
     assert repr(value) in captured.err
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+@pytest.mark.parametrize("value", ["-1/2", "-2.5e-3", "-3", "-.5", "-7e2"])
+def test_series_negative_t_eval_spaced_and_joined_agree(capsys, value, fmt):
+    argv = ["series", "--family", "delta", "--order", "4", "--format", fmt]
+    assert run(argv + ["--t-eval", value]) == 0
+    spaced = capsys.readouterr()
+    assert run(argv + [f"--t-eval={value}"]) == 0
+    joined = capsys.readouterr()
+    assert spaced.out == joined.out
+    assert spaced.err == joined.err == ""
+
+
+def test_series_negative_t_eval_console_form():
+    # the argv a shell passes, read by main() from sys.argv
+    outputs = []
+    for form in (["--t-eval", "-1/2"], ["--t-eval=-1/2"]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "trioperad.cli", "series", "--family", "delta"]
+            + ["--order", "2", *form],
+            capture_output=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["coefficients"][1]["value at t=-1/2"] == "3/2"
+
+
+@pytest.mark.parametrize("value", ["-1/x", "-1/0", "-2.5e-3e1", "-1//2"])
+def test_series_bad_negative_t_eval_exits_2_with_grammar(capsys, value):
+    code = run(["series", "--family", "delta", "--order", "2", "--t-eval", value])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {_T_EVAL_GRAMMAR}, got {value!r}\n"
+
+
+def test_series_huge_negative_t_eval_spaced_exits_2_at_once(capsys):
+    start = time.perf_counter()
+    code = run(["series", "--family", "delta", "--t-eval", "-1e20000000"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"T_EVAL_DIGITS_CAP = {T_EVAL_DIGITS_CAP}" in captured.err
+    assert elapsed < 1
 
 
 @pytest.mark.parametrize(

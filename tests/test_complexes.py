@@ -2,7 +2,7 @@
 
 import pytest
 
-from trioperad.cells import LEAF, graft, parse_subset_cell as cell, parse_tree
+from trioperad.cells import LEAF, enumerate_planar_trees, graft, parse_subset_cell as cell, parse_tree
 from trioperad.complexes import (
     SIMPLEX_FACE_CANDIDATES,
     SIMPLEX_FACE_TABLE,
@@ -100,6 +100,20 @@ def test_face_map_tree_left_leaf():
 
 def test_tree_face_leaf_offset_pinned():
     assert TREE_FACE_LEAF_OFFSET == 1
+
+
+@pytest.mark.parametrize(
+    "face",
+    [face for _, _, face in TREE_FACE_CANDIDATES],
+    ids=[str(label) for label, _, _ in TREE_FACE_CANDIDATES],
+)
+def test_tree_all_faces_match_one_face_at_a_time(face):
+    # the table build_complex reads equals the one-element faces
+    memo = {}
+    for leaves in range(3, 8):
+        for t in enumerate_planar_trees(leaves):
+            want = [face(t, i) for i in range(1, leaves - 1)]
+            assert face.all_faces(t, memo) == want
 
 
 # -------------------------------------------------------------- complexes

@@ -181,3 +181,29 @@ def test_rank_fuzz_dependent_rows_against_independent_referee():
         rng.shuffle(rows)
         dense = [[row.get(j, 0) for j in range(n)] for row in rows]
         assert rank(rows) == naive_dense_rank(dense)
+
+
+def test_rank_fuzz_unit_entries_against_independent_referee():
+    # entries in {-1, 0, 1}, as in the complexes' boundary maps: nearly
+    # every pivot is +-1, so the unit-pivot update carries most updates
+    rng = random.Random(17)
+    for _ in range(40):
+        m = rng.randint(20, 40)
+        n = rng.randint(5, 40)
+        density = rng.uniform(0.05, 0.35)
+        rows = [
+            {j: rng.choice((-1, 1)) for j in range(n) if rng.random() < density}
+            for _ in range(m)
+        ]
+        dense = [[row.get(j, 0) for j in range(n)] for row in rows]
+        assert rank(rows) == naive_dense_rank(dense)
+
+
+def test_rank_non_unit_pivot_then_minus_one_pivot():
+    # The pivots, in order: row 0 at column 0 with value 2 (the
+    # cross-multiplied update of row 2), row 1 at column 1 with value -1
+    # (the unit update of rows 2 and 3), then row 2.  Row 3 is
+    # row 0 - 3 row 1 - 2 row 2 and cancels to nothing.
+    rows = [{0: 2, 1: 1}, {1: -1, 2: 1}, {0: 1, 2: -1, 3: 1}, {1: 4, 2: -1, 3: -2}]
+    dense = [[row.get(j, 0) for j in range(4)] for row in rows]
+    assert rank(rows) == naive_dense_rank(dense) == 3
