@@ -24,13 +24,15 @@ The leaf-index/orientation convention for the tree family is pinned by
 candidate convention and shows the pinned one is the only candidate with
 d^2 = 0 and the right homology.
 
-A face convention is one function ``face(coeff, i)`` returning the face
+A face convention is one function ``face(coeff, memo)`` listing the
+faces i = 1..n-1 of a coefficient of arity n, each as the face
 coefficient and the product that merges factors i, i+1:
-``simplex_face`` (``collapse_vertex`` and ``simplex_face_product``) and
-``tree_face`` (``remove_leaf`` and ``leaf_orientation`` of leaf i +
-offset) build the candidates the sweeps try.  ``face_map`` applies one
-face to one element; it defines what ``build_complex`` computes and
-serves as the reference in the tests.
+``simplex_face`` (``collapse_vertex`` and ``simplex_face_product``; it
+ignores ``memo``) and ``tree_face`` (a slice of the ``cells.leaf_faces``
+table, whose subtree tables ``memo`` keeps) build the candidates the
+sweeps try.  ``face_map`` applies one face to one element; it defines
+what ``build_complex`` computes and serves as the reference in the
+tests.
 
 ``build_complex`` assembles the boundary on integer ids:
 
@@ -41,11 +43,9 @@ serves as the reference in the tests.
   positions in the coefficient and factor enumerations, P is the product
   of the factor counts and stride_k the product of those after slot k.
 * Face table.  Per coefficient and face i, computed once before the
-  bases: the id of the face coefficient and the merging product.  A
-  tree convention reads all faces of a coefficient off one
-  ``cells.leaf_faces`` table (its ``all_faces``), with a memo of subtree
-  tables that is dropped before the bases are built; a convention
-  without ``all_faces`` is called once per face.
+  bases: the id of the face coefficient and the merging product, from
+  one call of the convention per coefficient, with a memo that is
+  dropped before the bases are built.
 * Product tables.  Per (product, w_i, w_{i+1}), computed once: the
   product of every factor pair as (factor id, coefficient) terms.
 
@@ -71,11 +71,10 @@ from .cells import (
     enumerate_planar_trees,
     enumerate_subset_cells,
     leaf_faces,
-    leaf_orientation,
-    remove_leaf,
 )
 from .dendriform import DEND_OPS
 from .linear import LinComb, as_lincomb, rank
+from .relations import require_bound
 from .trialgebra import left_cell, mid_cell, right_cell
 
 SIMPLEX_FAMILY = "simplex"
@@ -130,10 +129,13 @@ def collapse_vertex(cell: SubsetCell, i: int) -> SubsetCell:
 def simplex_face(table=SIMPLEX_FACE_TABLE):
     """The simplex-family face convention: face i collapses vertices i,
     i+1 of the coefficient cell and merges the factors with the product
-    ``table`` reads off their membership."""
+    ``table`` reads off their membership.  ``memo`` is unused."""
 
-    def face(cell: SubsetCell, i: int):
-        return collapse_vertex(cell, i), DEND_OPS[simplex_face_product(i, cell, table)]
+    def face(cell: SubsetCell, memo: dict) -> list:
+        return [
+            (collapse_vertex(cell, i), DEND_OPS[simplex_face_product(i, cell, table)])
+            for i in range(1, cell.arity)
+        ]
 
     return face
 
@@ -141,19 +143,14 @@ def simplex_face(table=SIMPLEX_FACE_TABLE):
 def tree_face(leaf_offset: int = TREE_FACE_LEAF_OFFSET, ops=TREE_FACE_OPS):
     """The tree-family face convention: face i removes leaf i +
     ``leaf_offset`` of the coefficient tree and merges the factors with
-    the product ``ops`` assigns to that leaf's orientation.  Its
-    ``all_faces(tree, memo)`` gives faces 1..n-1 at once, from one
-    ``leaf_faces`` table."""
+    the product ``ops`` assigns to that leaf's orientation.  All faces
+    come from one ``leaf_faces`` table, which reads the tables of
+    subtrees from ``memo``."""
 
-    def face(tree: PlanarTree, i: int):
-        leaf = i + leaf_offset
-        return remove_leaf(tree, leaf), ops[leaf_orientation(tree, leaf)]
-
-    def all_faces(tree: PlanarTree, memo: dict) -> list:
+    def face(tree: PlanarTree, memo: dict) -> list:
         table = leaf_faces(tree, memo)[leaf_offset : leaf_offset + tree.leaves - 2]
         return [(low, ops[orientation]) for low, orientation in table]
 
-    face.all_faces = all_faces
     return face
 
 
@@ -163,7 +160,7 @@ def face_map(i: int, coeff, factors: tuple, face) -> LinComb:
     n = len(factors)
     if not 1 <= i <= n - 1:
         raise ValueError(f"face index {i} out of range 1..{n - 1}")
-    new_coeff, op = face(coeff, i)
+    new_coeff, op = face(coeff, {})[i - 1]
     return LinComb(
         ((new_coeff, factors[: i - 1] + (t,) + factors[i + 1 :]), c)
         for t, c in as_lincomb(op(factors[i - 1], factors[i]))
@@ -232,23 +229,13 @@ def level_dims(family: str, weight: int) -> dict[int, int]:
 
 def _face_tables(face, coeffs: dict[int, list], weight: int) -> dict[int, list]:
     """Per level n >= 2, per coefficient, its faces i = 1..n-1 as (id of
-    the face coefficient at level n-1, merging product).  A convention
-    with ``all_faces`` gives all faces of a coefficient at once, sharing
-    a memo that lives for this call only."""
-    all_faces = getattr(face, "all_faces", None)
+    the face coefficient at level n-1, merging product).  Every call of
+    ``face`` shares one memo, which lives for this call only."""
     memo: dict = {}
     tables = {}
     for n in range(2, weight + 1):
         lower_ids = {c: k for k, c in enumerate(coeffs[n - 1])}
-        tables[n] = [
-            [
-                (lower_ids[low], op)
-                for low, op in (
-                    all_faces(c, memo) if all_faces else (face(c, i) for i in range(1, n))
-                )
-            ]
-            for c in coeffs[n]
-        ]
+        tables[n] = [[(lower_ids[low], op) for low, op in face(c, memo)] for c in coeffs[n]]
     return tables
 
 
@@ -395,6 +382,7 @@ def _sweep(family: str, max_weight: int, candidates, pinned_label, **pin_fields)
     """Which candidate conventions, each (label, report fields, face),
     give d^2 = 0 and the expected homology at every weight <= max_weight;
     ``pinned_label`` is the one the package uses."""
+    require_bound(max_weight, 1, "weight")
     results = []
     passing = []
     for label, fields, face in candidates:

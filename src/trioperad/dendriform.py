@@ -44,7 +44,7 @@ from operator import attrgetter
 
 from .cells import LEAF, PlanarTree, decompose, enumerate_planar_trees, graft
 from .linear import LinComb, rank
-from .relations import Scheme, check_scheme
+from .relations import Scheme, check_scheme, require_bound
 
 GENERATOR = graft((LEAF, LEAF))
 
@@ -236,6 +236,7 @@ def star_associativity(max_leaves: int) -> dict:
 def check_generator_spans(max_weight: int) -> dict:
     """Iterated prec/succ/mid products of the generator span each arity
     component (dimension = number of trees with weight+1 leaves)."""
+    require_bound(max_weight, 1, "weight")
     products: dict[int, list[LinComb]] = {1: [LinComb.single(GENERATOR)]}
     for m in range(2, max_weight + 1):
         vecs = []

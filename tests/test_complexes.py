@@ -2,13 +2,24 @@
 
 import pytest
 
-from trioperad.cells import LEAF, enumerate_planar_trees, graft, parse_subset_cell as cell, parse_tree
+from trioperad.cells import (
+    LEAF,
+    LeafOrientation,
+    enumerate_planar_trees,
+    enumerate_subset_cells,
+    graft,
+    leaf_orientation,
+    parse_subset_cell as cell,
+    parse_tree,
+    remove_leaf,
+)
 from trioperad.complexes import (
     SIMPLEX_FACE_CANDIDATES,
     SIMPLEX_FACE_TABLE,
     SIMPLEX_FAMILY,
     TREE_FACE_CANDIDATES,
     TREE_FACE_LEAF_OFFSET,
+    TREE_FACE_OPS,
     TREE_FAMILY,
     build_complex,
     collapse_vertex,
@@ -22,6 +33,7 @@ from trioperad.complexes import (
     simplex_face_product,
     tree_face,
 )
+from trioperad.dendriform import DEND_OPS
 from trioperad.linear import LinComb
 
 A = parse_tree("(|,|)")
@@ -102,18 +114,54 @@ def test_tree_face_leaf_offset_pinned():
     assert TREE_FACE_LEAF_OFFSET == 1
 
 
+# the maps the sweeps' report fields name, rebuilt from the pinned ones
+_LEFT, _RIGHT, _MIDDLE = LeafOrientation.LEFT, LeafOrientation.RIGHT, LeafOrientation.MIDDLE
+_TREE_OPS = {
+    "natural": TREE_FACE_OPS,
+    "mirrored": {
+        _LEFT: TREE_FACE_OPS[_RIGHT],
+        _RIGHT: TREE_FACE_OPS[_LEFT],
+        _MIDDLE: TREE_FACE_OPS[_MIDDLE],
+    },
+}
+_SIMPLEX_TABLES = {
+    "pinned": SIMPLEX_FACE_TABLE,
+    "mirrored": {**SIMPLEX_FACE_TABLE, (True, False): "succ", (False, True): "prec"},
+}
+
+
+def _one_element_faces(fields, coeff):
+    """Faces 1..n-1 of ``coeff`` from the public one-element helpers,
+    under the sweep convention with report fields ``fields``."""
+    if "table" in fields:
+        table = _SIMPLEX_TABLES[fields["table"]]
+        return [
+            (collapse_vertex(coeff, i), DEND_OPS[simplex_face_product(i, coeff, table)])
+            for i in range(1, coeff.arity)
+        ]
+    offset, ops = fields["leaf_offset"], _TREE_OPS[fields["orientation_map"]]
+    return [
+        (remove_leaf(coeff, i + offset), ops[leaf_orientation(coeff, i + offset)])
+        for i in range(1, coeff.leaves - 1)
+    ]
+
+
 @pytest.mark.parametrize(
-    "face",
-    [face for _, _, face in TREE_FACE_CANDIDATES],
-    ids=[str(label) for label, _, _ in TREE_FACE_CANDIDATES],
+    "fields,face",
+    [(fields, face) for _, fields, face in TREE_FACE_CANDIDATES + SIMPLEX_FACE_CANDIDATES],
+    ids=[str(label) for label, _, _ in TREE_FACE_CANDIDATES + SIMPLEX_FACE_CANDIDATES],
 )
-def test_tree_all_faces_match_one_face_at_a_time(face):
-    # the table build_complex reads equals the one-element faces
+def test_faces_match_one_element_helpers(fields, face):
+    # the face list build_complex reads, with a shared memo and with none
+    if "table" in fields:
+        coeffs = [c for n in range(2, 8) for c in enumerate_subset_cells(n)]
+    else:
+        coeffs = [t for leaves in range(3, 8) for t in enumerate_planar_trees(leaves)]
     memo = {}
-    for leaves in range(3, 8):
-        for t in enumerate_planar_trees(leaves):
-            want = [face(t, i) for i in range(1, leaves - 1)]
-            assert face.all_faces(t, memo) == want
+    for c in coeffs:
+        want = _one_element_faces(fields, c)
+        assert face(c, memo) == want
+        assert face(c, {}) == want
 
 
 # -------------------------------------------------------------- complexes

@@ -7,9 +7,11 @@ import pytest
 
 from trioperad import trialgebra
 
+from trioperad.complexes import face_convention_sweep, simplex_convention_sweep
 from trioperad.dendriform import (
     DENDRIFORM_SCHEME,
     check_dendriform_relations,
+    check_generator_spans,
     star_associativity,
 )
 from trioperad.duality import negative_control_scheme
@@ -47,6 +49,10 @@ def test_smallest_bound_checks_one_triple():
         (star_associativity, 5, 6),
         (check_operad_axioms, 0, 1),
         (check_dg_rules, 1, 2),
+        (check_generator_spans, 0, 1),
+        (check_generator_spans, -3, 1),
+        (face_convention_sweep, 0, 1),
+        (simplex_convention_sweep, 0, 1),
     ],
 )
 def test_vacuous_bounds_rejected(check, bound, least):
