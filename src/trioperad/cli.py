@@ -274,6 +274,7 @@ def _cmd_complex_build(args) -> int:
         ok = ok and gc.d_squared_zero
     if hom:
         payload["betti"] = hom["betti"]
+        ok = ok and hom["betti"] == complexes.expected_betti(args.weight)
     _emit_json(payload)
     return 0 if ok else 1
 

@@ -349,11 +349,28 @@ def _label(elem) -> str:
 
 
 def homology_ranks(gc: GradedComplex) -> dict:
-    """Dimensions, boundary ranks and Betti numbers per level."""
+    """Dimensions, boundary ranks and Betti numbers per level.
+
+    With d^2 = 0 the ranks are taken top-down with clearing (Chen and
+    Kerber 2011, "Persistent homology computation with a twist"; Bauer,
+    Kerber and Reininghaus 2014, "Clear and compress"): the rows of
+    ``diff[n]`` whose level-n ids were pivot columns of ``diff[n+1]``
+    are left out.  This keeps rank(d_n) over the rationals.  The reduced
+    pivot rows of d_{n+1} restricted to its pivot columns J are
+    triangular with a nonzero diagonal, so for each j in J the image of
+    d_{n+1} holds a vector e_j + sum_{k not in J} b_k e_k.  d_n sends it
+    to 0, so row j of ``diff[n]`` lies in the span of the rows outside J,
+    whatever the pivot rule.  When d^2 != 0 (a candidate of the
+    convention sweeps) no row is left out.
+    """
     dims = gc.dims()
     ranks = {n: 0 for n in dims}
-    for n, rows in gc.diff.items():
-        ranks[n] = rank(rows)
+    cleared: set = set()
+    for n in sorted(gc.diff, reverse=True):
+        pivots: list = []
+        ranks[n] = rank([row for k, row in enumerate(gc.diff[n]) if k not in cleared], pivots)
+        if gc.d_squared_zero:
+            cleared = set(pivots)
     betti = {}
     for n in dims:
         betti[n] = dims[n] - ranks.get(n, 0) - ranks.get(n + 1, 0)

@@ -18,7 +18,9 @@ A pivot of +-1, every pivot of the chain complexes, needs no
 cross-multiplication: r - (r_c * p_c) * p is the cross-multiplied row
 times p_c, with the same support and content.  Entries are ``int`` (a
 ``Fraction`` or float raises ``TypeError``), and ``rank`` never modifies
-an input row.
+an input row.  On request it also hands back its pivot columns, which
+``complexes.homology_ranks`` uses to clear the rows of the next boundary
+matrix down.
 """
 
 from __future__ import annotations
@@ -166,7 +168,7 @@ def _integer_row(row) -> dict:
     return {c: v // g for c, v in row.items() if v}
 
 
-def rank(rows: Iterable) -> int:
+def rank(rows: Iterable, pivots: list | None = None) -> int:
     """Rank over the rationals of a matrix given as rows.
 
     Rows may be dense sequences or sparse {column: coefficient} dicts
@@ -188,6 +190,12 @@ def rank(rows: Iterable) -> int:
     column index (column -> ids of the active rows holding it) gives those
     counts and the rows to eliminate; each update changes it only for the
     pivot-row columns where an entry appears or cancels.
+
+    If ``pivots`` is a list, the pivot column of each step is appended to
+    it in pivot order: rank-many distinct columns, on which the rows
+    have full rank.  Each pivot row lacks the earlier pivot columns, so
+    the reduced pivot rows restricted to them are triangular with a
+    nonzero diagonal.
     """
     active: dict[int, dict[int, int]] = {}
     cols: dict[int, set[int]] = {}
@@ -209,6 +217,8 @@ def rank(rows: Iterable) -> int:
         pc = min(pivot_row, key=lambda c: (len(cols[c]), c))
         pv = pivot_row[pc]
         rk += 1
+        if pivots is not None:
+            pivots.append(pc)
         # no row gains column pc from here on: only pivot rows bring new
         # columns, and every later pivot row lacks pc
         holders = cols.pop(pc)

@@ -527,6 +527,24 @@ def test_complex_build_report_selection(capsys):
     assert "d_squared_zero" not in payload
 
 
+@pytest.mark.parametrize("report", ["betti", "dims,d2,betti"])
+def test_complex_build_wrong_betti_exits_1(capsys, monkeypatch, report):
+    real = complexes_mod.homology_ranks
+
+    def wrong(gc):
+        hom = real(gc)
+        hom["betti"][2] = 1
+        return hom
+
+    monkeypatch.setattr(complexes_mod, "homology_ranks", wrong)
+    code, payload = run_json(
+        capsys, ["complex", "build", "--family", "tree", "--weight", "3", "--report", report]
+    )
+    assert code == 1
+    assert payload["betti"] == {"1": 0, "2": 1, "3": 0}
+    assert payload.get("d_squared_zero", True)
+
+
 def test_complex_bad_report_exits_2(capsys):
     code = run(["complex", "build", "--family", "tree", "--weight", "2", "--report", "poetry"])
     assert code == 2

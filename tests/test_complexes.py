@@ -34,7 +34,7 @@ from trioperad.complexes import (
     tree_face,
 )
 from trioperad.dendriform import DEND_OPS
-from trioperad.linear import LinComb
+from trioperad.linear import LinComb, rank
 
 A = parse_tree("(|,|)")
 
@@ -209,6 +209,42 @@ def test_homology_weight_six_pinned(family, ranks):
     hom = homology_ranks(build_complex(family, 6))
     assert hom["ranks"] == {1: 0, **ranks}
     assert hom["betti"] == expected_betti(6)
+
+
+def _full_ranks(gc):
+    # every boundary matrix whole: the ranks homology_ranks must reproduce
+    return {n: rank(gc.diff.get(n, [])) for n in gc.dims()}
+
+
+@pytest.mark.parametrize(
+    "family,face",
+    [(TREE_FAMILY, face) for _, _, face in TREE_FACE_CANDIDATES]
+    + [(SIMPLEX_FAMILY, face) for _, _, face in SIMPLEX_FACE_CANDIDATES],
+)
+def test_clearing_keeps_ranks_of_sweep_candidates(family, face):
+    # d^2 = 0 or not, the ranks are those of the full matrices
+    for w in range(2, 6):
+        gc = build_complex(family, w, face)
+        assert homology_ranks(gc)["ranks"] == _full_ranks(gc)
+
+
+@pytest.mark.parametrize("family", [SIMPLEX_FAMILY, TREE_FAMILY])
+def test_clearing_keeps_ranks_at_weight_six(family):
+    gc = build_complex(family, 6)
+    assert homology_ranks(gc)["ranks"] == _full_ranks(gc)
+
+
+def test_clearing_needs_d_squared_zero():
+    # negative control: under the mirrored table d^2 != 0 at weight 3, and
+    # clearing d_2 by the pivot columns of d_3 would lose two ranks
+    mirrored = next(face for label, _, face in SIMPLEX_FACE_CANDIDATES if label == "mirrored")
+    gc = build_complex(SIMPLEX_FAMILY, 3, mirrored)
+    assert not gc.d_squared_zero
+    assert homology_ranks(gc)["ranks"][2] == rank(gc.diff[2]) == 11
+    pivots = []
+    rank(gc.diff[3], pivots)
+    cleared = [row for k, row in enumerate(gc.diff[2]) if k not in set(pivots)]
+    assert rank(cleared) == 9
 
 
 def test_differential_preserves_weight_and_drops_level():

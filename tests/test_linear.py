@@ -207,3 +207,35 @@ def test_rank_non_unit_pivot_then_minus_one_pivot():
     rows = [{0: 2, 1: 1}, {1: -1, 2: 1}, {0: 1, 2: -1, 3: 1}, {1: 4, 2: -1, 3: -2}]
     dense = [[row.get(j, 0) for j in range(4)] for row in rows]
     assert rank(rows) == naive_dense_rank(dense) == 3
+
+
+def test_rank_pivot_columns_fuzz_against_independent_referee():
+    # the pivot columns: rank-many, distinct, and the rows restricted to
+    # them keep the full rank
+    rng = random.Random(23)
+    for _ in range(200):
+        m = rng.randint(1, 20)
+        n = rng.randint(1, 20)
+        density = rng.uniform(0.05, 0.5)
+        rows = [
+            {j: rng.choice((-2, -1, 1, 1, 3)) for j in range(n) if rng.random() < density}
+            for _ in range(m)
+        ]
+        if m > 2:
+            a, b = rng.sample(rows, 2)
+            rows.append({j: a.get(j, 0) - b.get(j, 0) for j in a.keys() | b.keys()})
+        pivots = []
+        r = rank(rows, pivots)
+        assert r == naive_dense_rank([[row.get(j, 0) for j in range(n)] for row in rows])
+        assert len(pivots) == len(set(pivots)) == r
+        restricted = [[row.get(j, 0) for j in pivots] for row in rows]
+        assert naive_dense_rank(restricted) == r
+
+
+def test_rank_pivot_columns_of_known_matrix():
+    pivots = []
+    assert rank([{0: 1, 1: 1}, {0: 2, 1: 2}, {2: 5}], pivots) == 2
+    assert sorted(pivots) in ([0, 2], [1, 2])
+    pivots = []
+    assert rank([], pivots) == 0
+    assert pivots == []
