@@ -266,11 +266,13 @@ def _cmd_complex_build(args) -> int:
     hom = complexes.homology_ranks(gc) if "betti" in wanted else None
     if "dims" in wanted:
         payload["per_n"] = [
-            {"n": n, "dim": len(basis), "rank_d": hom["ranks"].get(n) if hom else None}
-            for n, basis in sorted(gc.levels.items())
+            {"n": n, "dim": dim, "rank_d": hom["ranks"].get(n) if hom else None}
+            for n, dim in sorted(gc.dims().items())
         ]
     if "d2" in wanted:
         payload["d_squared_zero"] = gc.d_squared_zero
+        if gc.d_squared_failure is not None:
+            payload["d_squared_failure"] = gc.d_squared_failure
         ok = ok and gc.d_squared_zero
     if hom:
         payload["betti"] = hom["betti"]

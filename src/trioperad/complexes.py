@@ -34,7 +34,7 @@ sweeps try.  ``face_map`` applies one face to one element; it defines
 what ``build_complex`` computes and serves as the reference in the
 tests.
 
-``build_complex`` assembles the boundary on integer ids:
+``build_complex`` assembles the boundary on integer ids alone:
 
 * Ids.  Level n is ordered by composition (w_1..w_n) of the weight, then
   coefficient, then factor tuple in ``itertools.product`` order, so the
@@ -42,15 +42,22 @@ tests.
   ``offset[comp] + c * P + sum_k f_k * stride_k``, where c and f_k are
   positions in the coefficient and factor enumerations, P is the product
   of the factor counts and stride_k the product of those after slot k.
+  No element is built: ``GradedComplex`` keeps the offsets and the
+  coefficient and factor lists, and decodes an element from its id on
+  demand (the labels of a d^2 counterexample, or ``levels``).
 * Face table.  Per coefficient and face i, computed once before the
-  bases: the id of the face coefficient and the merging product, from
-  one call of the convention per coefficient, with a memo that is
-  dropped before the bases are built.
-* Product tables.  Per (product, w_i, w_{i+1}), computed once: the
-  product of every factor pair as (factor id, coefficient) terms.
+  product tables: the id of the face coefficient and the merging
+  product, from one call of the convention per coefficient, with a memo
+  that is dropped before the boundary is built.
+* Product tables.  Per (product, w_i, w_{i+1}), computed once from the
+  basis form ``BASIS_PRODUCTS`` gives the public product: for every
+  factor pair, the tuple of result factor ids.  Tree factors read the
+  distinct result trees of ``dendriform.BASIS_OPS``; cell factors are
+  keys, multiplied with ``trialgebra.KEY_OPS``.  Every basis product has
+  coefficient 1, so every boundary entry is the face sign.
 
 Face i of a block then sends the elements with factors a, b in slots i,
-i+1 to the product terms t, at fixed prefix and suffix of the other
+i+1 to the factors t of a * b, at fixed prefix and suffix of the other
 slots: a boundary row is index arithmetic, and no tuple of cells is
 hashed.  ``level_dims`` counts the same levels from the closed-form cell
 counts, without building them.
@@ -58,7 +65,6 @@ counts, without building them.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -71,14 +77,29 @@ from .cells import (
     enumerate_planar_trees,
     enumerate_subset_cells,
     leaf_faces,
+    subset_keys,
 )
-from .dendriform import DEND_OPS
+from .dendriform import BASIS_OPS, DEND_OPS
 from .linear import LinComb, as_lincomb, rank
 from .relations import require_bound
-from .trialgebra import left_cell, mid_cell, right_cell
+from .trialgebra import KEY_OPS, left_cell, mid_cell, right_cell
 
 SIMPLEX_FAMILY = "simplex"
 TREE_FAMILY = "tree"
+
+# The products a face convention may return, per family, each with its
+# name and its basis form on the family's factors: the simplex family's
+# tree factors multiply with ``dendriform.BASIS_OPS`` (distinct result
+# trees, each with coefficient 1), the tree family's cell factors, as
+# keys, with ``trialgebra.KEY_OPS`` (one result key).
+BASIS_PRODUCTS = {
+    SIMPLEX_FAMILY: {DEND_OPS[name]: (name, op) for name, op in BASIS_OPS.items()},
+    TREE_FAMILY: {
+        left_cell: ("left_cell", KEY_OPS["left"]),
+        right_cell: ("right_cell", KEY_OPS["right"]),
+        mid_cell: ("mid_cell", KEY_OPS["mid"]),
+    },
+}
 
 # Pinned by face_convention_sweep: face i reads leaf i+1 (1-based), and
 # orientations map left->left, right->right, middle->mid.
@@ -169,22 +190,52 @@ def face_map(i: int, coeff, factors: tuple, face) -> LinComb:
 
 @dataclass
 class GradedComplex:
-    """Bases and boundary maps of one weight-graded complex.
+    """Boundary maps of one weight-graded complex, on integer ids.
 
-    ``levels[n]`` lists the basis elements (coefficient, factor tuple) of
-    level n; ``diff[n]`` gives, per basis element, its boundary as a
-    sparse {index at level n-1: integer coefficient} row.
+    Level n has ``sizes[n]`` basis elements (coefficient, factor tuple):
+    ``coeffs[n]`` lists the coefficients of arity n, ``factors[w]`` the
+    factors of weight w, and ``offsets[n][comp]`` is the id of the first
+    element whose factor weights are the composition ``comp``; see
+    ``build_complex`` for the id order.  No element is stored:
+    ``element(n, k)`` decodes the element with id k, and ``levels[n]``
+    decodes all of level n, on each access.  ``diff[n]`` gives, per
+    element of level n, its boundary as a sparse {id at level n-1:
+    integer coefficient} row.
     """
 
     family: str
     weight: int
-    levels: dict[int, list] = field(default_factory=dict)
+    sizes: dict[int, int] = field(default_factory=dict)
+    offsets: dict[int, dict[tuple, int]] = field(default_factory=dict)
+    coeffs: dict[int, list] = field(default_factory=dict)
+    factors: dict[int, list] = field(default_factory=dict)
     diff: dict[int, list[dict[int, int]]] = field(default_factory=dict)
     d_squared_zero: bool = True
     d_squared_failure: dict | None = None
 
     def dims(self) -> dict[int, int]:
-        return {n: len(basis) for n, basis in self.levels.items()}
+        return dict(self.sizes)
+
+    def element(self, n: int, k: int) -> tuple:
+        """The basis element (coefficient, factor tuple) with id k at
+        level n, read off the mixed-radix id."""
+        if not 0 <= k < self.sizes[n]:
+            raise IndexError(f"id {k} out of range 0..{self.sizes[n] - 1} at level {n}")
+        for comp, offset in reversed(self.offsets[n].items()):
+            if offset <= k:
+                break
+        radix = [len(self.factors[w]) for w in comp]
+        c, k = divmod(k - offset, math.prod(radix))
+        slots = []
+        for w, size in zip(reversed(comp), reversed(radix)):
+            k, f = divmod(k, size)
+            slots.append(self.factors[w][f])
+        return self.coeffs[n][c], tuple(reversed(slots))
+
+    @property
+    def levels(self) -> dict[int, list]:
+        """Every level's basis elements in id order, decoded anew."""
+        return {n: [self.element(n, k) for k in range(size)] for n, size in self.sizes.items()}
 
 
 def _arity_basis(family: str, n: int):
@@ -240,62 +291,77 @@ def _face_tables(face, coeffs: dict[int, list], weight: int) -> dict[int, list]:
 
 
 def build_complex(family: str, weight: int, face=None) -> GradedComplex:
-    """Assemble bases and boundary matrices for weight ``weight`` under
-    the face convention ``face`` (None: the pinned one) and verify
-    d^2 = 0 across all levels."""
+    """Assemble the boundary matrices for weight ``weight`` under the
+    face convention ``face`` (None: the pinned one) and verify d^2 = 0
+    across all levels.  The products ``face`` returns must be those of
+    ``BASIS_PRODUCTS[family]``."""
     _check_family_weight(family, weight)
     if face is None:
         face = simplex_face() if family == SIMPLEX_FAMILY else tree_face()
     gc = GradedComplex(family=family, weight=weight)
-    factors = {w: _arity_basis(_dual(family), w) for w in range(1, weight + 1)}
-    sizes = {w: len(fs) for w, fs in factors.items()}
-    coeffs = {n: _arity_basis(family, n) for n in range(1, weight + 1)}
-    # before the bases: the faces' memo is gone before the large lists exist
-    face_tables = _face_tables(face, coeffs, weight)
-    blocks: dict[int, dict[tuple, int]] = {}
+    gc.factors = {w: _arity_basis(_dual(family), w) for w in range(1, weight + 1)}
+    sizes = {w: len(fs) for w, fs in gc.factors.items()}
+    gc.coeffs = {n: _arity_basis(family, n) for n in range(1, weight + 1)}
+    face_tables = _face_tables(face, gc.coeffs, weight)
     for n in range(1, weight + 1):
-        basis: list = []
-        blocks[n] = {}
+        gc.offsets[n] = {}
+        size = 0
         for comp in compositions(weight, n):
-            blocks[n][comp] = len(basis)
-            tuples = list(itertools.product(*(factors[w] for w in comp)))
-            basis.extend((c, fs) for c in coeffs[n] for fs in tuples)
-        gc.levels[n] = basis
-    factor_ids = {w: {f: k for k, f in enumerate(fs)} for w, fs in factors.items()}
+            gc.offsets[n][comp] = size
+            size += len(gc.coeffs[n]) * math.prod(sizes[w] for w in comp)
+        gc.sizes[n] = size
+    basis_products = BASIS_PRODUCTS[family]
+    if family == SIMPLEX_FAMILY:
+        tree_ids = {w: {f: k for k, f in enumerate(fs)} for w, fs in gc.factors.items()}
     products: dict[tuple, list] = {}
 
     def product_table(op, wa: int, wb: int) -> list:
-        """op(x, y) for every factor pair, row-major in (x, y), as lists
-        of (factor id, coefficient) terms."""
+        """op(x, y) for every factor pair, row-major in (x, y), as the
+        tuple of result factor ids: every coefficient is 1."""
         key = (op, wa, wb)
         if key not in products:
-            ids = factor_ids[wa + wb]
-            products[key] = [
-                [(ids[t], c) for t, c in as_lincomb(op(x, y))]
-                for x in factors[wa]
-                for y in factors[wb]
-            ]
+            if op not in basis_products:
+                accepted = ", ".join(name for name, _ in basis_products.values())
+                raise ValueError(
+                    f"face product {op!r} is not a product of the {family} complex's factors; "
+                    f"accepted: {accepted}"
+                )
+            basis_op = basis_products[op][1]
+            if family == SIMPLEX_FAMILY:
+                ids = tree_ids[wa + wb]
+                products[key] = [
+                    tuple([ids[t] for t in basis_op(x, y)])
+                    for x in gc.factors[wa]
+                    for y in gc.factors[wb]
+                ]
+            else:
+                # a cell of arity m with key k has id k - (1 << m) - 1
+                first = (1 << wa + wb) + 1
+                products[key] = [
+                    (basis_op(x, y) - first,) for x in subset_keys(wa) for y in subset_keys(wb)
+                ]
         return products[key]
 
     for n in range(2, weight + 1):
         faces = face_tables[n]
-        rows: list[dict[int, int]] = [{} for _ in gc.levels[n]]
+        rows: list[dict[int, int]] = [{} for _ in range(gc.sizes[n])]
         # one int object per column, shared by every row that holds it
-        col_ids = list(range(len(gc.levels[n - 1])))
-        for comp, offset in blocks[n].items():
+        col_ids = list(range(gc.sizes[n - 1]))
+        for comp, offset in gc.offsets[n].items():
             radix = [sizes[w] for w in comp]
             block = math.prod(radix)
             for i in range(1, n):
                 # The element with coefficient c, prefix r, factors a, b in
                 # slots i, i+1 and suffix s has id offset + c * block +
                 # (r * a_size * b_size + a * b_size + b) * suffix + s.  Face i
-                # sends it, for each term t of a * b, to lower_offset +
-                # lower_c * lower_block + (r * merged_size + t) * suffix + s.
+                # sends it, for each factor t of a * b, to lower_offset +
+                # lower_c * lower_block + (r * merged_size + t) * suffix + s,
+                # with coefficient the face sign.
                 a_size, b_size = radix[i - 1], radix[i]
                 suffix = math.prod(radix[i + 1 :])
                 merged = comp[i - 1] + comp[i]
                 lower = comp[: i - 1] + (merged,) + comp[i + 1 :]
-                lower_offset = blocks[n - 1][lower]
+                lower_offset = gc.offsets[n - 1][lower]
                 merged_size = sizes[merged]
                 lower_block = block // (a_size * b_size) * merged_size
                 sign = -((-1) ** i)  # d = -sum_i (-1)^i d_i
@@ -306,13 +372,20 @@ def build_complex(family: str, weight: int, face=None) -> GradedComplex:
                         e = offset + c * block + r * a_size * b_size * suffix
                         col = lower_offset + lower_c * lower_block + r * merged_size * suffix
                         # faces i < i' land in different lower compositions,
-                        # so no row receives a column twice
+                        # and the factors of a * b are distinct, so no row
+                        # receives a column twice
+                        if suffix == 1:
+                            for terms in table:
+                                row = rows[e]
+                                for t in terms:
+                                    row[col_ids[col + t]] = sign
+                                e += 1
+                            continue
                         for terms in table:
-                            for t, k in terms:
+                            for t in terms:
                                 base = col + t * suffix
-                                v = sign * k
                                 for s in range(suffix):
-                                    rows[e + s][col_ids[base + s]] = v
+                                    rows[e + s][col_ids[base + s]] = sign
                             e += suffix
         gc.diff[n] = rows
     _check_d_squared(gc)
@@ -321,7 +394,8 @@ def build_complex(family: str, weight: int, face=None) -> GradedComplex:
 
 def _check_d_squared(gc: GradedComplex) -> None:
     """Set d_squared_zero, and d_squared_failure for the first element x
-    with d(d(x)) != 0, its residual labelled by basis element."""
+    with d(d(x)) != 0, its residual labelled by basis element; the check
+    stops at that element."""
     for n in range(3, gc.weight + 1):
         lower = gc.diff[n - 1]
         for k, row in enumerate(gc.diff[n]):
@@ -331,16 +405,14 @@ def _check_d_squared(gc: GradedComplex) -> None:
                     acc[jj] = acc.get(jj, 0) + c * cc
             if any(acc.values()):
                 gc.d_squared_zero = False
-                if gc.d_squared_failure is None:
-                    gc.d_squared_failure = {
-                        "level": n,
-                        "element": _label(gc.levels[n][k]),
-                        "residual": {
-                            _label(gc.levels[n - 2][j]): c
-                            for j, c in sorted(acc.items())
-                            if c
-                        },
-                    }
+                gc.d_squared_failure = {
+                    "level": n,
+                    "element": _label(gc.element(n, k)),
+                    "residual": {
+                        _label(gc.element(n - 2, j)): c for j, c in sorted(acc.items()) if c
+                    },
+                }
+                return
 
 
 def _label(elem) -> str:

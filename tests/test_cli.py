@@ -545,6 +545,30 @@ def test_complex_build_wrong_betti_exits_1(capsys, monkeypatch, report):
     assert payload.get("d_squared_zero", True)
 
 
+def test_complex_build_d2_failure_in_payload(capsys, monkeypatch):
+    # the pinned simplex face swapped for the mirrored table: d^2 != 0 at
+    # weight 3, and the payload names the first failing element
+    mirrored = complexes_mod.simplex_face(complexes_mod._MIRRORED_SIMPLEX_TABLE)
+    monkeypatch.setattr(complexes_mod, "simplex_face", lambda: mirrored)
+    code, payload = run_json(
+        capsys, ["complex", "build", "--family", "simplex", "--weight", "3", "--report", "d2"]
+    )
+    assert code == 1
+    assert payload["d_squared_zero"] is False
+    failure = payload["d_squared_failure"]
+    assert failure == complexes_mod.build_complex("simplex", 3, mirrored).d_squared_failure
+    assert failure["level"] == 3
+    assert failure["residual"] and all(c != 0 for c in failure["residual"].values())
+
+
+def test_complex_build_passing_payload_has_no_failure(capsys):
+    code, payload = run_json(
+        capsys, ["complex", "build", "--family", "tree", "--weight", "4", "--report", "d2"]
+    )
+    assert code == 0
+    assert payload == {"family": "tree", "weight": 4, "d_squared_zero": True}
+
+
 def test_complex_bad_report_exits_2(capsys):
     code = run(["complex", "build", "--family", "tree", "--weight", "2", "--report", "poetry"])
     assert code == 2

@@ -1,10 +1,13 @@
 """Weight-graded chain complexes: faces, d^2 = 0, homology, conventions."""
 
+import itertools
+
 import pytest
 
 from trioperad.cells import (
     LEAF,
     LeafOrientation,
+    cell_of_key,
     enumerate_planar_trees,
     enumerate_subset_cells,
     graft,
@@ -14,6 +17,7 @@ from trioperad.cells import (
     remove_leaf,
 )
 from trioperad.complexes import (
+    BASIS_PRODUCTS,
     SIMPLEX_FACE_CANDIDATES,
     SIMPLEX_FACE_TABLE,
     SIMPLEX_FAMILY,
@@ -21,6 +25,7 @@ from trioperad.complexes import (
     TREE_FACE_LEAF_OFFSET,
     TREE_FACE_OPS,
     TREE_FAMILY,
+    _check_d_squared,
     build_complex,
     collapse_vertex,
     expected_betti,
@@ -34,7 +39,8 @@ from trioperad.complexes import (
     tree_face,
 )
 from trioperad.dendriform import DEND_OPS
-from trioperad.linear import LinComb, rank
+from trioperad.linear import LinComb, as_lincomb, rank
+from trioperad.trialgebra import left_cell
 
 A = parse_tree("(|,|)")
 
@@ -162,6 +168,67 @@ def test_faces_match_one_element_helpers(fields, face):
         want = _one_element_faces(fields, c)
         assert face(c, memo) == want
         assert face(c, {}) == want
+
+
+def test_tree_basis_products_match_public_products():
+    # every tree pair with at most 7 leaves in total: the basis form lists
+    # distinct trees, each the public product's term with coefficient 1
+    trees = {k: enumerate_planar_trees(k) for k in range(2, 6)}
+    pairs = [
+        (x, y) for a in trees for b in trees if a + b <= 7 for x in trees[a] for y in trees[b]
+    ]
+    assert len(pairs) == 194
+    assert {name for name, _ in BASIS_PRODUCTS[SIMPLEX_FAMILY].values()} == set(DEND_OPS)
+    for public, (name, basis_op) in BASIS_PRODUCTS[SIMPLEX_FAMILY].items():
+        assert public is DEND_OPS[name]
+        for x, y in pairs:
+            terms = basis_op(x, y)
+            assert len(set(terms)) == len(terms)
+            assert dict(as_lincomb(public(x, y)).items()) == dict.fromkeys(terms, 1)
+
+
+def test_cell_basis_products_match_public_products():
+    # every cell pair with arity sum at most 6: one result key, coefficient 1
+    pairs = [
+        (x, y)
+        for p in range(1, 6)
+        for q in range(1, 7 - p)
+        for x in enumerate_subset_cells(p)
+        for y in enumerate_subset_cells(q)
+    ]
+    assert set(BASIS_PRODUCTS[TREE_FAMILY]) == set(TREE_FACE_OPS.values())
+    for public, (name, key_op) in BASIS_PRODUCTS[TREE_FAMILY].items():
+        assert public.__name__ == name
+        for x, y in pairs:
+            got = as_lincomb(public(x, y))
+            assert got == LinComb.single(cell_of_key(key_op(x.key, y.key)))
+
+
+def _simplex_face_with(op):
+    return lambda c, memo: [(collapse_vertex(c, i), op) for i in range(1, c.arity)]
+
+
+def _tree_face_with(op):
+    return tree_face(ops=dict.fromkeys(LeafOrientation, op))
+
+
+_TREE_PRODUCTS = "prec, succ, mid, star"
+_CELL_PRODUCTS = "left_cell, right_cell, mid_cell"
+
+
+@pytest.mark.parametrize(
+    "family,face,accepted",
+    [
+        # a product of the other family, and a product outside the map
+        (SIMPLEX_FAMILY, _simplex_face_with(left_cell), _TREE_PRODUCTS),
+        (SIMPLEX_FAMILY, _simplex_face_with(lambda x, y: DEND_OPS["prec"](x, y)), _TREE_PRODUCTS),
+        (TREE_FAMILY, _tree_face_with(DEND_OPS["mid"]), _CELL_PRODUCTS),
+        (TREE_FAMILY, _tree_face_with(lambda x, y: left_cell(x, y)), _CELL_PRODUCTS),
+    ],
+)
+def test_face_product_outside_basis_products_raises(family, face, accepted):
+    with pytest.raises(ValueError, match=f"accepted: {accepted}$"):
+        build_complex(family, 3, face)
 
 
 # -------------------------------------------------------------- complexes
@@ -378,3 +445,55 @@ def test_d_squared_failure_carries_residual():
         if c
     }
     assert residual == want
+
+
+def _enumerated_levels(family, weight):
+    """Every level of the complex in id order, enumerated here: the
+    compositions of the weight (cut points in lexicographic order), then
+    the coefficients, then the factor tuples in itertools.product order."""
+    if family == SIMPLEX_FAMILY:
+        coeffs, factors = enumerate_subset_cells, lambda w: enumerate_planar_trees(w + 1)
+    else:
+        coeffs, factors = lambda n: enumerate_planar_trees(n + 1), enumerate_subset_cells
+    levels = {}
+    for n in range(1, weight + 1):
+        comps = [
+            tuple(b - a for a, b in zip((0,) + cuts, cuts + (weight,)))
+            for cuts in itertools.combinations(range(1, weight), n - 1)
+        ]
+        levels[n] = [
+            (c, fs)
+            for comp in comps
+            for c in coeffs(n)
+            for fs in itertools.product(*(factors(w) for w in comp))
+        ]
+    return levels
+
+
+@pytest.mark.parametrize("family", [SIMPLEX_FAMILY, TREE_FAMILY])
+def test_levels_decode_ids_in_enumeration_order(family):
+    for w in range(1, 6):
+        gc = build_complex(family, w)
+        want = _enumerated_levels(family, w)
+        assert gc.levels == want
+        assert gc.dims() == {n: len(basis) for n, basis in want.items()}
+        for n, basis in want.items():
+            assert gc.element(n, len(basis) - 1) == basis[-1]
+            with pytest.raises(IndexError):
+                gc.element(n, len(basis))
+
+
+def test_d_squared_check_stops_at_first_failure():
+    mirrored = next(face for label, _, face in SIMPLEX_FACE_CANDIDATES if label == "mirrored")
+    gc = build_complex(SIMPLEX_FAMILY, 3, mirrored)
+    failure = gc.d_squared_failure
+    k = [str(c) + " ; " + ",".join(map(str, fs)) for c, fs in gc.levels[3]].index(
+        failure["element"]
+    )
+    assert k < len(gc.diff[3]) - 1
+    # a row past the first failure that a full scan would trip over
+    gc.diff[3][k + 1 :] = [{len(gc.diff[2]): 1}] * (len(gc.diff[3]) - k - 1)
+    gc.d_squared_zero, gc.d_squared_failure = True, None
+    _check_d_squared(gc)
+    assert not gc.d_squared_zero
+    assert gc.d_squared_failure == failure
