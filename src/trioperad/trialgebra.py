@@ -89,7 +89,20 @@ def gamma(outer: SubsetCell, args: "list[SubsetCell] | tuple[SubsetCell, ...]") 
 
 def check_operad_axioms(max_arity: int) -> dict:
     """Exhaustive associativity + unit check for all composites of total
-    arity (arity of the composed operation) up to ``max_arity``, on keys."""
+    arity (arity of the composed operation) up to ``max_arity``, on keys.
+
+    Each associativity case (x; ys; zs) compares ((x; ys); zs) with
+    (x; (y_1; zs_1), ..., (y_n; zs_n)), both through ``gamma_key``, where
+    zs_b is the block of zs that y_b takes.  For each inner arities (of
+    the zs) and outer arities (of the ys), every inner composite
+    (y; zs_b), for each y and zs_b of block b, is computed once, before
+    the loop over x, which it does not depend on.  The left side is
+    computed once per distinct (x; ys) and zs, for the current inner
+    arities only; each case then composes its right side.  Cases run x,
+    then ys, then zs, so the first failure is the first case in that
+    order.  The zs are generated, never stored, so the tables hold only
+    ints: the check's peak memory stays a few kilobytes.
+    """
     require_bound(max_arity, 1, "composite")
     unit_cases = 0
     assoc_cases = 0
@@ -106,22 +119,42 @@ def check_operad_axioms(max_arity: int) -> dict:
         for mid_arity in range(1, total + 1):
             for inner_arities in compositions(total, mid_arity):
                 inner_bases = [subset_keys(k) for k in inner_arities]
+                # xy -> [(xy; zs) for every zs], for these inner arities
+                lhs_rows = {}
                 for n in range(1, mid_arity + 1):
                     for outer_arities in compositions(mid_arity, n):
-                        blocks = []
+                        # inner[b][j][k] = (j-th y of block b; k-th zs_b)
+                        inner = []
                         start = 0
                         for size in outer_arities:
-                            blocks.append(slice(start, start + size))
+                            block = inner_bases[start : start + size]
+                            inner.append(
+                                [
+                                    [gamma_key(y, zb) for zb in itertools.product(*block)]
+                                    for y in subset_keys(size)
+                                ]
+                            )
                             start += size
                         mid_bases = [subset_keys(i) for i in outer_arities]
                         for x in subset_keys(n):
-                            for ys in itertools.product(*mid_bases):
+                            for ys, rows in zip(
+                                itertools.product(*mid_bases), itertools.product(*inner)
+                            ):
                                 xy = gamma_key(x, ys)
-                                yblocks = list(zip(ys, blocks))
-                                for zs in itertools.product(*inner_bases):
-                                    lhs = gamma_key(xy, zs)
-                                    rhs = gamma_key(x, [gamma_key(y, zs[b]) for y, b in yblocks])
-                                    assoc_cases += 1
+                                lhs_row = lhs_rows.get(xy)
+                                if lhs_row is None:
+                                    lhs_row = lhs_rows[xy] = [
+                                        gamma_key(xy, zs) for zs in itertools.product(*inner_bases)
+                                    ]
+                                assoc_cases += len(lhs_row)
+                                # product(*rows) runs over the zs in the order
+                                # of product(*inner_bases)
+                                for zs, lhs, args in zip(
+                                    itertools.product(*inner_bases),
+                                    lhs_row,
+                                    itertools.product(*rows),
+                                ):
+                                    rhs = gamma_key(x, args)
                                     if lhs != rhs and first_failure is None:
                                         first_failure = {
                                             "kind": "associativity",

@@ -1,6 +1,5 @@
 """The relation-scheme harness: non-vacuous bounds and negative controls."""
 
-import re
 from dataclasses import replace
 
 import pytest
@@ -86,33 +85,90 @@ def test_harness_rejects_the_duality_negative_control():
     }
 
 
-def test_operad_check_rejects_a_broken_composition(monkeypatch):
+def _skipping_gamma_key(outer, args):
     # a gamma that advances past an unselected slot by one vertex, not by
     # its argument's arity: both unit laws still hold (unit arguments have
     # arity 1), associativity does not
-    def broken_gamma_key(outer, args):
-        mask = shift = 0
-        for a in args:
-            p = a.bit_length() - 1
-            if outer & 1:
-                mask |= (a ^ 1 << p) << shift
-                shift += p
-            else:
-                shift += 1
-            outer >>= 1
-        return mask | 1 << sum(a.bit_length() - 1 for a in args)
+    mask = shift = 0
+    for a in args:
+        p = a.bit_length() - 1
+        if outer & 1:
+            mask |= (a ^ 1 << p) << shift
+            shift += p
+        else:
+            shift += 1
+        outer >>= 1
+    return mask | 1 << sum(a.bit_length() - 1 for a in args)
 
-    monkeypatch.setattr(trialgebra, "gamma_key", broken_gamma_key)
-    report = check_operad_axioms(4)
-    assert not report["passed"]
-    failure = report["first_failure"]
-    assert failure["kind"] == "associativity"
-    literal = re.compile(r"\{\d+(,\d+)*\}@\d+")
-    for field in ("x", "lhs", "rhs"):
-        assert literal.fullmatch(failure[field]), failure
-    for field in ("ys", "zs"):
-        assert failure[field] and all(literal.fullmatch(c) for c in failure[field]), failure
-    assert failure["lhs"] != failure["rhs"]
+
+_GAMMA_KEY = trialgebra.gamma_key
+
+
+def _wide_gamma_key(outer, args):
+    # gamma, except that a result of arity >= 6 from an unselected first
+    # slot and an argument of arity >= 2 selects the first slot too: no
+    # case below total arity 6 sees it
+    arities = [a.bit_length() - 1 for a in args]
+    if not outer & 1 and sum(arities) >= 6 and max(arities) >= 2:
+        outer |= 1
+    return _GAMMA_KEY(outer, args)
+
+
+def _first_failure(monkeypatch, broken, bound):
+    # the first case, in the order x, then ys, then zs, whose two sides
+    # differ under the mutated composition
+    monkeypatch.setattr(trialgebra, "gamma_key", broken)
+    report = check_operad_axioms(bound)
+    assert report["passed"] is (report["first_failure"] is None)
+    cases = report["unit_cases"] + report["associativity_cases"]
+    assert cases == check_cases("operad_axioms", bound)
+    return report["first_failure"]
+
+
+def test_operad_check_rejects_a_broken_composition(monkeypatch):
+    for bound in (4, 6):
+        assert _first_failure(monkeypatch, _skipping_gamma_key, bound) == {
+            "kind": "associativity",
+            "x": "{2}@2",
+            "ys": ["{1}@2", "{1}@1"],
+            "zs": ["{1}@1", "{1}@1", "{2}@2"],
+            "lhs": "{2}@4",
+            "rhs": "{3}@4",
+        }
+
+
+def test_operad_check_rejects_a_composition_broken_at_arity_6(monkeypatch):
+    assert _first_failure(monkeypatch, _wide_gamma_key, 5) is None
+    assert _first_failure(monkeypatch, _wide_gamma_key, 6) == {
+        "kind": "associativity",
+        "x": "{1}@2",
+        "ys": ["{2}@2", "{1}@1"],
+        "zs": ["{1}@1", "{1}@1", "{1}@4"],
+        "lhs": "{1,2}@6",
+        "rhs": "{2}@6",
+    }
+
+
+def test_operad_check_composes_at_most_twice_per_case(monkeypatch):
+    # the inner composites are shared by every x, and each left side by
+    # every x and ys with the same (x; ys)
+    calls = 0
+
+    def counted(outer, args):
+        nonlocal calls
+        calls += 1
+        return _GAMMA_KEY(outer, args)
+
+    monkeypatch.setattr(trialgebra, "gamma_key", counted)
+    report = check_operad_axioms(6)
+    assert report == {
+        "passed": True,
+        "max_arity": 6,
+        "unit_cases": 240,
+        "associativity_cases": 42034,
+        "first_failure": None,
+    }
+    assert calls <= 2 * (240 + 42034)
 
 
 # (row index, perturbed row, lhs, rhs); each first fails at x = y = z = (|,|)
@@ -152,7 +208,7 @@ def test_check_cases_count_what_the_checks_visit():
         assert check_cases("trialgebra_relations", b) == want
     for b in range(2, 6):
         assert check_cases("dg_rules", b) == check_dg_rules(b)["pairs_checked"]
-    for b in range(1, 5):
+    for b in range(1, 7):
         report = check_operad_axioms(b)
         want = report["unit_cases"] + report["associativity_cases"]
         assert check_cases("operad_axioms", b) == want
