@@ -176,11 +176,9 @@ class PlanarTree:
 
     The one-leaf tree is ``LEAF`` (children == ()); everything else is a
     node built by ``graft``.  One instance per tree: equality is identity.
-    ``serial`` numbers the trees in the order they were interned; sorting
-    by it puts any multiset of trees in one canonical order.
     """
 
-    __slots__ = ("children", "leaves", "vertices", "serial")
+    __slots__ = ("children", "leaves", "vertices")
 
     def __new__(cls, children: tuple["PlanarTree", ...] = ()) -> "PlanarTree":
         children = tuple(children)
@@ -197,9 +195,6 @@ class PlanarTree:
         else:
             self.leaves = 1
             self.vertices = 0
-        # a counter, not len(_TREES): two racing constructors could read
-        # one length, and two trees with one serial break the sort order
-        self.serial = next(_SERIALS)
         # setdefault, so two constructors racing on one tree return one object
         return _TREES.setdefault(children, self)
 
@@ -227,7 +222,6 @@ class PlanarTree:
 
 
 _TREES: dict[tuple, PlanarTree] = {}  # children tuple -> the one tree with them
-_SERIALS = itertools.count()
 LEAF = PlanarTree()
 
 
@@ -258,6 +252,15 @@ def graft(parts: "list[PlanarTree] | tuple[PlanarTree, ...]") -> PlanarTree:
     if len(parts) < 2:
         raise ValueError("graft needs at least two trees")
     return PlanarTree(parts)
+
+
+def graft_each(head: tuple, trees, tail: tuple) -> tuple:
+    """``graft(head + (t,) + tail)`` for each t in ``trees``: one table
+    lookup per tree, the constructor only for a new one."""
+    if not head and not tail:
+        raise ValueError("graft needs at least two trees")
+    get = _TREES.get  # a tree is always true
+    return tuple([get(k := head + (t,) + tail) or PlanarTree(k) for t in trees])
 
 
 def decompose(t: PlanarTree) -> tuple[PlanarTree, ...]:

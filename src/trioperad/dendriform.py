@@ -22,11 +22,9 @@ three.  Grafting under a fixed head and tail is injective on interned
 trees, so ``_graft_star`` keeps the terms of ``_star`` distinct.
 
 A sum of basis products is therefore a multiset of trees.  The relation
-schemes run on multisets: each op takes a tree or a tuple of trees on
-either side and returns the result trees, repeats kept, as a tuple sorted
-by ``PlanarTree.serial``.  Two sums are equal exactly when their tuples
-are, so ``check_scheme`` compares them with ``==`` and builds no
-``LinComb``; ``render`` writes a multiset as the ``LinComb`` it stands for.
+schemes run on multisets in no fixed order (``_multiset``), compare them
+with ``_same_multiset`` and build no ``LinComb``; ``render`` writes a
+multiset as the ``LinComb`` it stands for.
 
 The public ``prec``/``succ``/``mid``/``star`` are bilinear sums over the
 same tuples: they read the term dicts of their arguments (a bare tree
@@ -37,12 +35,12 @@ wrapped once with the internal ``LinComb._of``.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import replace
 from functools import lru_cache
 from itertools import chain, product, starmap
-from operator import attrgetter
 
-from .cells import LEAF, PlanarTree, decompose, enumerate_planar_trees, graft
+from .cells import LEAF, PlanarTree, decompose, enumerate_planar_trees, graft, graft_each
 from .linear import LinComb, rank
 from .relations import Scheme, check_scheme, require_bound
 
@@ -56,7 +54,7 @@ GENERATOR = graft((LEAF, LEAF))
 
 def _graft_star(head: tuple, x: PlanarTree, y: PlanarTree, tail: tuple) -> tuple:
     """Graft head, each term of x * y, tail under one root."""
-    return tuple([graft(head + (t,) + tail) for t in _star(x, y)])
+    return graft_each(head, _star(x, y), tail)
 
 
 @lru_cache(maxsize=None)
@@ -175,19 +173,35 @@ DENDRIFORM_RELATIONS: list[tuple[str, str, str, str]] = [
     ("mid", "mid", "mid", "mid"),
 ]
 
-_serial = attrgetter("serial")
-
 
 def _multiset(basis_op):
     """``basis_op`` summed over a tree or a tuple of trees on either side:
-    the result trees with repeats, as a tuple sorted by serial."""
+    on two trees the cached tuple itself, else a flat tuple of the result
+    trees, repeats kept, unsorted."""
 
     def op(x, y) -> tuple:
-        xs = (x,) if isinstance(x, PlanarTree) else x
-        ys = (y,) if isinstance(y, PlanarTree) else y
-        return tuple(sorted(chain.from_iterable(starmap(basis_op, product(xs, ys))), key=_serial))
+        if isinstance(x, PlanarTree):
+            if isinstance(y, PlanarTree):
+                return basis_op(x, y)
+            x = (x,)
+        elif isinstance(y, PlanarTree):
+            y = (y,)
+        # a tuple grown from an iterator would, once freed, fill the
+        # interpreter's tuple free lists; one made from a list does not
+        return tuple([*chain.from_iterable(starmap(basis_op, product(x, y)))])
 
     return op
+
+
+def _same_multiset(lhs: tuple, rhs: tuple) -> bool:
+    """Whether two tuples of trees are one multiset: as sets if they have
+    one length and ``lhs`` repeats no tree, else by exact counts."""
+    if len(lhs) != len(rhs):
+        return False
+    trees = set(lhs)
+    if len(trees) == len(lhs):
+        return trees == set(rhs)
+    return Counter(lhs) == Counter(rhs)
 
 
 def _render(v) -> str:
@@ -196,7 +210,7 @@ def _render(v) -> str:
 
 
 # Every basis product has coefficient 1, so a sum of them is a multiset of
-# trees, and two sums are equal exactly when their sorted tuples are.
+# trees.
 DENDRIFORM_SCHEME = Scheme(
     generators=("prec", "succ", "mid"),
     ops={name: _multiset(fn) for name, fn in BASIS_OPS.items()},
@@ -205,6 +219,7 @@ DENDRIFORM_SCHEME = Scheme(
     basis=enumerate_planar_trees,
     min_size=2,
     render=_render,
+    same=_same_multiset,
 )
 
 # associativity of star is the single row (star, star, star, star)

@@ -10,6 +10,7 @@ at a bound without running it.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
@@ -23,7 +24,7 @@ class Scheme:
     (the outer products must accept the inner results); ``sum_symbol``
     names the sum of the three generators, if the rows use it; sizes of
     ``basis(k)`` start at ``min_size``; ``render`` writes a basis element
-    or a product for a counterexample.
+    or a product for a counterexample; ``same`` compares two products.
     """
 
     generators: tuple[str, str, str]
@@ -33,6 +34,7 @@ class Scheme:
     basis: Callable[[int], Iterable]
     min_size: int
     render: Callable[[object], str] = str
+    same: Callable[[object, object], bool] = operator.eq
 
 
 def relation_statement(rel: tuple[str, str, str, str]) -> str:
@@ -51,16 +53,18 @@ def check_scheme(scheme: Scheme, bound: int) -> tuple[list[dict], int]:
     >= ``scheme.min_size`` summing to <= ``bound``.  Returns one {relation,
     holds, counterexample} entry per row, the counterexample being the
     first failing triple, and the triple count.  Each (x a y) is computed
-    once per pair and each (y d z) once per triple.
+    once per pair and each (y d z) once per triple, a cache hit with no
+    new object on the tree side.
     """
-    rows, ops, m, render = scheme.rows, scheme.ops, scheme.min_size, scheme.render
+    ops, m, render, same = scheme.ops, scheme.min_size, scheme.render, scheme.same
     require_bound(bound, 3 * m, "basis triple")
     entries = [
         {"relation": relation_statement(rel), "holds": True, "counterexample": None}
-        for rel in rows
+        for rel in scheme.rows
     ]
-    inner_left = {rel[0] for rel in rows}
-    inner_right = {rel[3] for rel in rows}
+    rows = [(a, ops[b], ops[c], d, entry) for (a, b, c, d), entry in zip(scheme.rows, entries)]
+    inner_left = {rel[0] for rel in scheme.rows}
+    inner_right = {rel[3] for rel in scheme.rows}
     triples = 0
     for p in range(m, bound - 2 * m + 1):
         for q in range(m, bound - p - m + 1):
@@ -71,10 +75,10 @@ def check_scheme(scheme: Scheme, bound: int) -> tuple[list[dict], int]:
                     for z in zs:
                         triples += 1
                         yz = {d: ops[d](y, z) for d in inner_right}
-                        for (a, b, c, d), entry in zip(rows, entries):
-                            lhs = ops[b](xy[a], z)
-                            rhs = ops[c](x, yz[d])
-                            if lhs != rhs and entry["holds"]:
+                        for a, outer_left, outer_right, d, entry in rows:
+                            lhs = outer_left(xy[a], z)
+                            rhs = outer_right(x, yz[d])
+                            if not same(lhs, rhs) and entry["holds"]:
                                 entry["holds"] = False
                                 entry["counterexample"] = {
                                     "x": render(x),

@@ -21,6 +21,7 @@ from trioperad.cells import (
     enumerate_planar_trees,
     enumerate_subset_cells,
     graft,
+    graft_each,
     leaf_faces,
     leaf_orientation,
     parse_cube_cell,
@@ -176,6 +177,24 @@ def test_leaf_and_graft():
 def test_graft_rejects_single_child():
     with pytest.raises(ValueError):
         graft((LEAF,))
+
+
+def test_graft_each_is_graft_per_tree():
+    trees = [t for n in range(1, 5) for t in enumerate_planar_trees(n)]
+    # a tree built here first, so the batch interns it: 37-leaf corollas
+    # appear nowhere else
+    fresh = PlanarTree((LEAF,) * 37)
+    assert (fresh, LEAF) not in _TREES
+    a = parse_tree("(|,|)")
+    for head, tail in (((LEAF,), ()), ((), (a,)), ((a, LEAF), (LEAF,)), ((fresh,), ())):
+        got = graft_each(head, trees, tail)
+        assert type(got) is tuple and len(got) == len(trees)
+        for t, g in zip(trees, got):
+            assert g is graft(head + (t,) + tail)
+    assert _TREES[(fresh, LEAF)].leaves == 38
+    assert graft_each((LEAF,), (), ()) == ()
+    with pytest.raises(ValueError, match="at least two trees"):
+        graft_each((), trees, ())
 
 
 def test_tree_parse_roundtrip():

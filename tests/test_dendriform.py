@@ -1,6 +1,7 @@
 """Planar-tree algebra: three products, star, relations, generator spans."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
@@ -212,7 +213,7 @@ def test_basis_products_are_distinct_trees_with_coefficient_one(name):
 @pytest.mark.parametrize("name", list(BASIS_OPS))
 def test_multiset_ops_agree_with_lincomb_ops(name):
     # the scheme's ops on trees and tuples of trees, repeats included, are
-    # the LinComb products of the sums they stand for, sorted by serial
+    # the LinComb products of the sums they stand for, in any order
     op, lin = DENDRIFORM_SCHEME.ops[name], DEND_OPS[name]
     rng = random.Random(14)
     trees = [t for n in range(2, 6) for t in enumerate_planar_trees(n)]
@@ -223,14 +224,43 @@ def test_multiset_ops_agree_with_lincomb_ops(name):
     for x, y in cases:
         got = op(x, y)
         assert type(got) is tuple
-        assert list(got) == sorted(got, key=lambda t: t.serial)
         assert _counted(got) == lin(_counted(x), _counted(y)), (name, x, y)
         if not isinstance(x, PlanarTree):
-            assert op(x[::-1], y) == got
+            assert Counter(op(x[::-1], y)) == Counter(got)
     # a repeated tree keeps its multiplicity
     twice = op((A, A), B)
     assert _counted(twice) == 2 * lin(A, B)
     assert len(twice) == 2 * len(op(A, B))
+
+
+@pytest.mark.parametrize("name", list(BASIS_OPS))
+def test_multiset_ops_on_two_trees_are_the_cached_products(name):
+    # no copy: on two basis trees the scheme's op hands back the cached tuple
+    op, basis_op = DENDRIFORM_SCHEME.ops[name], BASIS_OPS[name]
+    least = 1 if name == "star" else 2
+    trees = [t for n in range(least, 6) for t in enumerate_planar_trees(n)]
+    for x in trees:
+        for y in trees:
+            assert op(x, y) is basis_op(x, y), (name, str(x), str(y))
+
+
+def test_same_compares_multisets_exactly():
+    same = DENDRIFORM_SCHEME.same
+    C = parse_tree("(|,(|,|))")
+    # one set, other counts: unequal whichever side repeats
+    assert not same((A, A, B), (A, B, B))
+    assert not same((A, B, B), (A, A, B))
+    # one multiset in two orders
+    assert same((A, B, A), (B, A, A))
+    assert same((A, B, C), (C, A, B))
+    assert same((), ())
+    # other lengths, the shorter side's set inside the longer's
+    assert not same((A, B), (A, B, B))
+    assert not same((A, B, B), (A, B))
+    assert not same((A,), ())
+    # a distinct left side against a right side that repeats a tree
+    assert not same((A, B, C), (A, B, B))
+    assert not same((A, B), (C, A))
 
 
 def _seeded_lincombs(seed, count):

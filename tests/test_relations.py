@@ -1,5 +1,6 @@
 """The relation-scheme harness: non-vacuous bounds and negative controls."""
 
+import operator
 from dataclasses import replace
 
 import pytest
@@ -14,7 +15,7 @@ from trioperad.dendriform import (
     star_associativity,
 )
 from trioperad.duality import negative_control_scheme
-from trioperad.relations import check_cases, check_scheme, relation_statement
+from trioperad.relations import Scheme, check_cases, check_scheme, relation_statement
 from trioperad.trialgebra import (
     TRIALGEBRA_SCHEME,
     check_dg_rules,
@@ -30,6 +31,14 @@ def test_schemes_hold_their_frozen_data():
     assert DENDRIFORM_SCHEME.sum_symbol == "star"
     assert (TRIALGEBRA_SCHEME.min_size, DENDRIFORM_SCHEME.min_size) == (1, 2)
     assert (len(TRIALGEBRA_SCHEME.rows), len(DENDRIFORM_SCHEME.rows)) == (11, 7)
+
+
+def test_key_side_compares_with_eq():
+    # products on keys are ints, compared with ==; only the tree side,
+    # whose sums are multisets in no fixed order, sets its own comparison
+    assert Scheme.same is operator.eq
+    assert TRIALGEBRA_SCHEME.same is operator.eq
+    assert DENDRIFORM_SCHEME.same is not operator.eq
 
 
 def test_smallest_bound_checks_one_triple():
@@ -200,6 +209,68 @@ def test_harness_rejects_a_perturbed_tree_row():
         ce = _failing_entry(entries, row)
         generator = "(|,|)"
         assert ce == {"x": generator, "y": generator, "z": generator, "lhs": lhs, "rhs": rhs}
+
+
+def _failures(scheme, bound):
+    """The failing rows of ``scheme`` at ``bound``: {row index: counterexample}."""
+    entries, _ = check_scheme(scheme, bound)
+    return {i: e["counterexample"] for i, e in enumerate(entries) if not e["holds"]}
+
+
+def _with_op(name, op):
+    return replace(DENDRIFORM_SCHEME, ops={**DENDRIFORM_SCHEME.ops, name: op})
+
+
+def _mid_repeating(x, y):
+    # mid, with the first of its terms in literal order standing in for
+    # the last: the same number of terms, one of them repeated
+    out = sorted(DENDRIFORM_SCHEME.ops["mid"](x, y), key=str)
+    return tuple(out[:1] + out[:-1])
+
+
+def test_harness_rejects_a_mid_that_repeats_a_term():
+    # row 3 fails with a left side that repeats a tree (compared by
+    # counts), row 5 with a distinct left side (compared as sets); the
+    # sums of each row have the same length
+    assert _failures(_with_op("mid", _mid_repeating), 7) == {
+        3: {
+            "x": "(|,|)",
+            "y": "((|,|),|)",
+            "z": "(|,|)",
+            "lhs": "2*(((|,|),|),|,|) + ((|,(|,|)),|,|)",
+            "rhs": "(((|,|),|),|,|) + ((|,(|,|)),|,|) + ((|,|,|),|,|)",
+        },
+        5: {
+            "x": "(|,|)",
+            "y": "(|,(|,|))",
+            "z": "(|,|)",
+            "lhs": "(|,|,((|,|),|)) + (|,|,(|,(|,|))) + (|,|,(|,|,|))",
+            "rhs": "2*(|,|,((|,|),|)) + (|,|,(|,(|,|)))",
+        },
+    }
+
+
+def _deep_prec(x, y):
+    # prec, except that a result with 6 or more leaves is mid's: only a
+    # triple with 8 or more leaves in all has such an outer product
+    out = DENDRIFORM_SCHEME.ops["prec"](x, y)
+    return DENDRIFORM_SCHEME.ops["mid"](x, y) if out[0].leaves >= 6 else out
+
+
+def test_harness_rejects_a_tree_product_broken_past_bound_7():
+    # the first failing triple of each row, in the order p, q, x, y, z
+    scheme = _with_op("prec", _deep_prec)
+    assert _failures(scheme, 7) == {}
+    corner = {"x": "(|,|)", "y": "(|,|)", "z": "(|,(|,(|,|)))"}
+    assert _failures(scheme, 8) == {
+        0: {
+            **corner,
+            "lhs": "(|,(|,|),(|,(|,|)))",
+            "rhs": "(|,(|,|),(|,(|,|))) + (|,|,(|,(|,(|,|)))) + (|,|,|,(|,(|,|)))",
+        },
+        1: {**corner, "lhs": "((|,|),|,(|,(|,|)))", "rhs": "((|,|),(|,(|,(|,|))))"},
+        5: {**corner, "lhs": "(|,|,|,(|,(|,|)))", "rhs": "(|,|,(|,(|,(|,|))))"},
+    }
 
 
 def test_check_cases_count_what_the_checks_visit():
