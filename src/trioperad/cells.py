@@ -187,14 +187,13 @@ class PlanarTree:
             return known
         if len(children) == 1:
             raise ValueError("internal vertices need >= 2 children")
+        leaves, vertices = 0, 1
+        for c in children:
+            leaves += c.leaves
+            vertices += c.vertices
         self = super().__new__(cls)
         self.children = children
-        if children:
-            self.leaves = sum(c.leaves for c in children)
-            self.vertices = 1 + sum(c.vertices for c in children)
-        else:
-            self.leaves = 1
-            self.vertices = 0
+        self.leaves, self.vertices = (leaves, vertices) if children else (1, 0)
         # setdefault, so two constructors racing on one tree return one object
         return _TREES.setdefault(children, self)
 
@@ -222,6 +221,7 @@ class PlanarTree:
 
 
 _TREES: dict[tuple, PlanarTree] = {}  # children tuple -> the one tree with them
+_new_tree = object.__new__
 LEAF = PlanarTree()
 
 
@@ -256,11 +256,25 @@ def graft(parts: "list[PlanarTree] | tuple[PlanarTree, ...]") -> PlanarTree:
 
 def graft_each(head: tuple, trees, tail: tuple) -> tuple:
     """``graft(head + (t,) + tail)`` for each t in ``trees``: one table
-    lookup per tree, the constructor only for a new one."""
+    lookup per tree; a new tree is made here, from the leaf and vertex
+    totals of ``head + tail``, without the constructor."""
     if not head and not tail:
         raise ValueError("graft needs at least two trees")
-    get = _TREES.get  # a tree is always true
-    return tuple([get(k := head + (t,) + tail) or PlanarTree(k) for t in trees])
+    leaves, vertices = 0, 1
+    for c in head + tail:
+        leaves += c.leaves
+        vertices += c.vertices
+    get, out = _TREES.get, []
+    for t in trees:
+        tree = get(k := head + (t,) + tail)
+        if tree is None:
+            tree = _new_tree(PlanarTree)
+            tree.children = k
+            tree.leaves = leaves + t.leaves
+            tree.vertices = vertices + t.vertices
+            tree = _TREES.setdefault(k, tree)
+        out.append(tree)
+    return tuple(out)
 
 
 def decompose(t: PlanarTree) -> tuple[PlanarTree, ...]:

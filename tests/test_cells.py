@@ -29,6 +29,7 @@ from trioperad.cells import (
     parse_tree,
     remove_leaf,
 )
+from trioperad.dendriform import _mid, _prec, _star, _succ
 
 # frozen counts
 SUBSET_COUNTS = {n: 2**n - 1 for n in range(1, 11)}
@@ -192,9 +193,44 @@ def test_graft_each_is_graft_per_tree():
         for t, g in zip(trees, got):
             assert g is graft(head + (t,) + tail)
     assert _TREES[(fresh, LEAF)].leaves == 38
+    assert _TREES[(fresh, LEAF)].vertices == 2
     assert graft_each((LEAF,), (), ()) == ()
     with pytest.raises(ValueError, match="at least two trees"):
         graft_each((), trees, ())
+
+
+def _recount(t: PlanarTree, memo: dict) -> tuple:
+    """t's (leaves, vertices), recounted from its children; asserts that
+    every field of t and its subtrees matches and each is the tree the
+    constructor returns for its children."""
+    got = memo.get(t)
+    if got is None:
+        counts = [_recount(c, memo) for c in t.children]
+        leaves = sum(n for n, _ in counts) if counts else 1
+        vertices = sum(v for _, v in counts) + 1 if counts else 0
+        assert (t.leaves, t.vertices, t.degree) == (leaves, vertices, leaves - 1 - vertices)
+        assert t is PlanarTree(t.children)
+        got = memo[t] = leaves, vertices
+    return got
+
+
+def test_product_trees_have_recounted_fields():
+    trees = [t for n in range(1, 6) for t in enumerate_planar_trees(n)]
+    memo: dict = {}
+    for x in trees:
+        for y in trees:
+            ops = (_star,) if LEAF in (x, y) else (_prec, _succ, _mid, _star)
+            for op in ops:
+                for t in op(x, y):
+                    _recount(t, memo)
+    assert len(memo) == 26233
+    # a head no other test builds, so every tree of the batch is new
+    fresh = PlanarTree((LEAF,) * 41)
+    a = parse_tree("(|,|)")
+    assert not any((fresh, t, a) in _TREES for t in trees)
+    for t, g in zip(trees, graft_each((fresh,), trees, (a,))):
+        _recount(g, memo)
+        assert (g.leaves, g.vertices) == (t.leaves + 43, t.vertices + 3)
 
 
 def test_tree_parse_roundtrip():
