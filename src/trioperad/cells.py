@@ -502,4 +502,6 @@ def cell_count(family: str, arity: int) -> int:
         return 2**arity - 1
     if family == "tree":
         return super_catalan_numbers(arity)[-1]
-    return 3 ** (arity - 1)
+    if family == "cube":
+        return 3 ** (arity - 1)
+    raise ValueError(f"unknown cell family {family!r}; accepted: subset, tree, cube")

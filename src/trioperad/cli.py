@@ -380,7 +380,7 @@ def certify_all(level: str = "quick") -> dict:
     sections["dg_rules"] = trialgebra.check_dg_rules(6)
     sections["duality"] = duality.certify_duality()
     families = {}
-    for family in (complexes.SIMPLEX_FAMILY, complexes.TREE_FAMILY):
+    for family in complexes.FAMILIES:
         per_weight = [complexes.weight_report(family, w) for w in range(1, max_weight + 1)]
         passed = all(e["passed"] for e in per_weight)
         families[family] = {"passed": passed, "per_weight": per_weight}
@@ -457,7 +457,7 @@ def _build_parser() -> argparse.ArgumentParser:
         dest="subcommand", required=True
     )
     p = comp.add_parser("build", help="assemble one complex and report")
-    p.add_argument("--family", choices=["simplex", "tree"], required=True)
+    p.add_argument("--family", choices=list(complexes.FAMILIES), required=True)
     p.add_argument("--weight", type=int, required=True)
     p.add_argument("--report", default="dims,d2,betti")
     p.set_defaults(fn=_cmd_complex_build)

@@ -50,11 +50,11 @@ tests.
   product, from one call of the convention per coefficient, with a memo
   that is dropped before the boundary is built.
 * Product tables.  Per (product, w_i, w_{i+1}), computed once from the
-  basis form ``BASIS_PRODUCTS`` gives the public product: for every
-  factor pair, the tuple of result factor ids.  Tree factors read the
-  distinct result trees of ``dendriform.BASIS_OPS``; cell factors are
-  keys, multiplied with ``trialgebra.KEY_OPS``.  Every basis product has
-  coefficient 1, so every boundary entry is the face sign.
+  basis form the family's record in ``FAMILIES`` gives the public
+  product: for every factor pair, the tuple of result factor ids, read
+  through a {factor key: id} map.  A tree product lists distinct trees,
+  a cell product one cell key, each with coefficient 1, so every
+  boundary entry is the face sign.
 
 Face i of a block then sends the elements with factors a, b in slots i,
 i+1 to the factors t of a * b, at fixed prefix and suffix of the other
@@ -66,7 +66,9 @@ counts, without building them.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import cache
 
 from .cells import (
     LeafOrientation,
@@ -77,29 +79,14 @@ from .cells import (
     enumerate_planar_trees,
     enumerate_subset_cells,
     leaf_faces,
-    subset_keys,
 )
 from .dendriform import BASIS_OPS, DEND_OPS
 from .linear import LinComb, as_lincomb, rank
 from .relations import require_bound
-from .trialgebra import KEY_OPS, left_cell, mid_cell, right_cell
+from .trialgebra import left_cell, left_key, mid_cell, mid_key, right_cell, right_key
 
 SIMPLEX_FAMILY = "simplex"
 TREE_FAMILY = "tree"
-
-# The products a face convention may return, per family, each with its
-# name and its basis form on the family's factors: the simplex family's
-# tree factors multiply with ``dendriform.BASIS_OPS`` (distinct result
-# trees, each with coefficient 1), the tree family's cell factors, as
-# keys, with ``trialgebra.KEY_OPS`` (one result key).
-BASIS_PRODUCTS = {
-    SIMPLEX_FAMILY: {DEND_OPS[name]: (name, op) for name, op in BASIS_OPS.items()},
-    TREE_FAMILY: {
-        left_cell: ("left_cell", KEY_OPS["left"]),
-        right_cell: ("right_cell", KEY_OPS["right"]),
-        mid_cell: ("mid_cell", KEY_OPS["mid"]),
-    },
-}
 
 # Pinned by face_convention_sweep: face i reads leaf i+1 (1-based), and
 # orientations map left->left, right->right, middle->mid.
@@ -175,6 +162,46 @@ def tree_face(leaf_offset: int = TREE_FACE_LEAF_OFFSET, ops=TREE_FACE_OPS):
     return face
 
 
+@dataclass(frozen=True)
+class _Family:
+    """One complex family: ``basis(n)`` lists its coefficients of arity
+    n, ``cells.cell_count(cells, n)`` counts them, ``dual`` gives the
+    factors, ``face`` is the pinned face convention, and ``products``
+    maps each product a face may return to its name and its basis form,
+    which reads the factors as ``factor_keys`` lists them."""
+
+    basis: Callable[[int], list]
+    cells: str
+    dual: str
+    face: Callable
+    products: dict
+    factor_keys: Callable[[list], list]
+
+
+# each basis reads complexes.enumerate_* at call time, so wrappers see it
+FAMILIES = {
+    SIMPLEX_FAMILY: _Family(
+        basis=lambda n: enumerate_subset_cells(n),
+        cells="subset",
+        dual=TREE_FAMILY,
+        face=simplex_face(),
+        products={DEND_OPS[name]: (name, op) for name, op in BASIS_OPS.items()},
+        factor_keys=lambda trees: trees,
+    ),
+    TREE_FAMILY: _Family(
+        basis=lambda n: enumerate_planar_trees(n + 1),
+        cells="tree",
+        dual=SIMPLEX_FAMILY,
+        face=tree_face(),
+        products={
+            op: (op.__name__, lambda x, y, key_op=key_op: (key_op(x, y),))
+            for op, key_op in ((left_cell, left_key), (right_cell, right_key), (mid_cell, mid_key))
+        },
+        factor_keys=lambda cells: [c.key for c in cells],
+    ),
+}
+
+
 def face_map(i: int, coeff, factors: tuple, face) -> LinComb:
     """i-th face of the element (coeff; factors) under the convention
     ``face``."""
@@ -210,8 +237,11 @@ class GradedComplex:
     coeffs: dict[int, list] = field(default_factory=dict)
     factors: dict[int, list] = field(default_factory=dict)
     diff: dict[int, list[dict[int, int]]] = field(default_factory=dict)
-    d_squared_zero: bool = True
     d_squared_failure: dict | None = None
+
+    @property
+    def d_squared_zero(self) -> bool:
+        return self.d_squared_failure is None
 
     def dims(self) -> dict[int, int]:
         return dict(self.sizes)
@@ -238,27 +268,12 @@ class GradedComplex:
         return {n: [self.element(n, k) for k in range(size)] for n, size in self.sizes.items()}
 
 
-def _arity_basis(family: str, n: int):
-    """Subset cells of {1..n}, or planar trees with n+1 leaves."""
-    if family == SIMPLEX_FAMILY:
-        return enumerate_subset_cells(n)
-    return enumerate_planar_trees(n + 1)
-
-
-# the `cells` family name of each complex family's coefficients
-_CELL_FAMILY = {SIMPLEX_FAMILY: "subset", TREE_FAMILY: "tree"}
-
-
-def _dual(family: str) -> str:
-    # factors come from the free algebra of the dual family
-    return TREE_FAMILY if family == SIMPLEX_FAMILY else SIMPLEX_FAMILY
-
-
-def _check_family_weight(family: str, weight: int) -> None:
-    if family not in (SIMPLEX_FAMILY, TREE_FAMILY):
+def _family_record(family: str, weight: int) -> _Family:
+    if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     if weight < 1:
         raise ValueError("weight must be >= 1")
+    return FAMILIES[family]
 
 
 def level_dims(family: str, weight: int) -> dict[int, int]:
@@ -266,10 +281,10 @@ def level_dims(family: str, weight: int) -> dict[int, int]:
     without building anything: level n has, summed over the compositions
     of the weight, |coefficients of arity n| times the product of
     |factors of weight w_k|."""
-    _check_family_weight(family, weight)
+    record = _family_record(family, weight)
     coeffs, factors = (
-        [cell_count(_CELL_FAMILY[f], n) for n in range(1, weight + 1)]
-        for f in (family, _dual(family))
+        [cell_count(r.cells, n) for n in range(1, weight + 1)]
+        for r in (record, FAMILIES[record.dual])
     )
     return {
         n: coeffs[n - 1]
@@ -294,15 +309,13 @@ def build_complex(family: str, weight: int, face=None) -> GradedComplex:
     """Assemble the boundary matrices for weight ``weight`` under the
     face convention ``face`` (None: the pinned one) and verify d^2 = 0
     across all levels.  The products ``face`` returns must be those of
-    ``BASIS_PRODUCTS[family]``."""
-    _check_family_weight(family, weight)
-    if face is None:
-        face = simplex_face() if family == SIMPLEX_FAMILY else tree_face()
+    the family's record in ``FAMILIES``."""
+    record = _family_record(family, weight)
     gc = GradedComplex(family=family, weight=weight)
-    gc.factors = {w: _arity_basis(_dual(family), w) for w in range(1, weight + 1)}
+    gc.factors = {w: FAMILIES[record.dual].basis(w) for w in range(1, weight + 1)}
     sizes = {w: len(fs) for w, fs in gc.factors.items()}
-    gc.coeffs = {n: _arity_basis(family, n) for n in range(1, weight + 1)}
-    face_tables = _face_tables(face, gc.coeffs, weight)
+    gc.coeffs = {n: record.basis(n) for n in range(1, weight + 1)}
+    face_tables = _face_tables(face or record.face, gc.coeffs, weight)
     for n in range(1, weight + 1):
         gc.offsets[n] = {}
         size = 0
@@ -310,37 +323,22 @@ def build_complex(family: str, weight: int, face=None) -> GradedComplex:
             gc.offsets[n][comp] = size
             size += len(gc.coeffs[n]) * math.prod(sizes[w] for w in comp)
         gc.sizes[n] = size
-    basis_products = BASIS_PRODUCTS[family]
-    if family == SIMPLEX_FAMILY:
-        tree_ids = {w: {f: k for k, f in enumerate(fs)} for w, fs in gc.factors.items()}
-    products: dict[tuple, list] = {}
+    keys = {w: record.factor_keys(fs) for w, fs in gc.factors.items()}
+    factor_ids = {w: {f: k for k, f in enumerate(fs)} for w, fs in keys.items()}
 
+    @cache
     def product_table(op, wa: int, wb: int) -> list:
         """op(x, y) for every factor pair, row-major in (x, y), as the
         tuple of result factor ids: every coefficient is 1."""
-        key = (op, wa, wb)
-        if key not in products:
-            if op not in basis_products:
-                accepted = ", ".join(name for name, _ in basis_products.values())
-                raise ValueError(
-                    f"face product {op!r} is not a product of the {family} complex's factors; "
-                    f"accepted: {accepted}"
-                )
-            basis_op = basis_products[op][1]
-            if family == SIMPLEX_FAMILY:
-                ids = tree_ids[wa + wb]
-                products[key] = [
-                    tuple([ids[t] for t in basis_op(x, y)])
-                    for x in gc.factors[wa]
-                    for y in gc.factors[wb]
-                ]
-            else:
-                # a cell of arity m with key k has id k - (1 << m) - 1
-                first = (1 << wa + wb) + 1
-                products[key] = [
-                    (basis_op(x, y) - first,) for x in subset_keys(wa) for y in subset_keys(wb)
-                ]
-        return products[key]
+        if op not in record.products:
+            accepted = ", ".join(name for name, _ in record.products.values())
+            raise ValueError(
+                f"face product {op!r} is not a product of the {family} complex's factors; "
+                f"accepted: {accepted}"
+            )
+        basis_op = record.products[op][1]
+        ids = factor_ids[wa + wb]
+        return [tuple([ids[t] for t in basis_op(x, y)]) for x in keys[wa] for y in keys[wb]]
 
     for n in range(2, weight + 1):
         faces = face_tables[n]
@@ -393,9 +391,8 @@ def build_complex(family: str, weight: int, face=None) -> GradedComplex:
 
 
 def _check_d_squared(gc: GradedComplex) -> None:
-    """Set d_squared_zero, and d_squared_failure for the first element x
-    with d(d(x)) != 0, its residual labelled by basis element; the check
-    stops at that element."""
+    """Set d_squared_failure for the first element x with d(d(x)) != 0, its
+    residual labelled by basis element; the check stops at that element."""
     for n in range(3, gc.weight + 1):
         lower = gc.diff[n - 1]
         for k, row in enumerate(gc.diff[n]):
@@ -404,7 +401,6 @@ def _check_d_squared(gc: GradedComplex) -> None:
                 for jj, cc in lower[j].items():
                     acc[jj] = acc.get(jj, 0) + c * cc
             if any(acc.values()):
-                gc.d_squared_zero = False
                 gc.d_squared_failure = {
                     "level": n,
                     "element": _label(gc.element(n, k)),

@@ -412,6 +412,13 @@ def test_cell_count_rejects_arity_below_one(family):
             cell_count(family, arity)
 
 
+@pytest.mark.parametrize("family", ["simplex", "octahedron", "Cube", ""])
+def test_cell_count_rejects_unknown_family(family):
+    # no name falls through to the cube count
+    with pytest.raises(ValueError, match="accepted: subset, tree, cube$"):
+        cell_count(family, 3)
+
+
 # ------------------------------------------------------------ round trips
 
 

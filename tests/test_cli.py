@@ -1,5 +1,6 @@
 """CLI surface: subcommands, payload shapes, exit codes, error paths."""
 
+import dataclasses
 import hashlib
 import json
 import subprocess
@@ -549,7 +550,10 @@ def test_complex_build_d2_failure_in_payload(capsys, monkeypatch):
     # the pinned simplex face swapped for the mirrored table: d^2 != 0 at
     # weight 3, and the payload names the first failing element
     mirrored = complexes_mod.simplex_face(complexes_mod._MIRRORED_SIMPLEX_TABLE)
-    monkeypatch.setattr(complexes_mod, "simplex_face", lambda: mirrored)
+    pinned = complexes_mod.FAMILIES["simplex"]
+    monkeypatch.setitem(
+        complexes_mod.FAMILIES, "simplex", dataclasses.replace(pinned, face=mirrored)
+    )
     code, payload = run_json(
         capsys, ["complex", "build", "--family", "simplex", "--weight", "3", "--report", "d2"]
     )

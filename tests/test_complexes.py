@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from trioperad import complexes as complexes_mod
 from trioperad.cells import (
     LEAF,
     LeafOrientation,
@@ -17,7 +18,7 @@ from trioperad.cells import (
     remove_leaf,
 )
 from trioperad.complexes import (
-    BASIS_PRODUCTS,
+    FAMILIES,
     SIMPLEX_FACE_CANDIDATES,
     SIMPLEX_FACE_TABLE,
     SIMPLEX_FAMILY,
@@ -40,7 +41,7 @@ from trioperad.complexes import (
 )
 from trioperad.dendriform import DEND_OPS
 from trioperad.linear import LinComb, as_lincomb, rank
-from trioperad.trialgebra import left_cell
+from trioperad.trialgebra import KEY_OPS, left_cell
 
 A = parse_tree("(|,|)")
 
@@ -178,17 +179,20 @@ def test_tree_basis_products_match_public_products():
         (x, y) for a in trees for b in trees if a + b <= 7 for x in trees[a] for y in trees[b]
     ]
     assert len(pairs) == 194
-    assert {name for name, _ in BASIS_PRODUCTS[SIMPLEX_FAMILY].values()} == set(DEND_OPS)
-    for public, (name, basis_op) in BASIS_PRODUCTS[SIMPLEX_FAMILY].items():
+    record = FAMILIES[SIMPLEX_FAMILY]
+    assert {name for name, _ in record.products.values()} == set(DEND_OPS)
+    for public, (name, basis_op) in record.products.items():
         assert public is DEND_OPS[name]
         for x, y in pairs:
-            terms = basis_op(x, y)
+            terms = basis_op(*record.factor_keys([x, y]))
             assert len(set(terms)) == len(terms)
             assert dict(as_lincomb(public(x, y)).items()) == dict.fromkeys(terms, 1)
 
 
 def test_cell_basis_products_match_public_products():
-    # every cell pair with arity sum at most 6: one result key, coefficient 1
+    # every cell pair with arity sum at most 6: the basis form reads the
+    # cells' keys and gives one result key, that of the public product's
+    # one term, with coefficient 1
     pairs = [
         (x, y)
         for p in range(1, 6)
@@ -196,12 +200,16 @@ def test_cell_basis_products_match_public_products():
         for x in enumerate_subset_cells(p)
         for y in enumerate_subset_cells(q)
     ]
-    assert set(BASIS_PRODUCTS[TREE_FAMILY]) == set(TREE_FACE_OPS.values())
-    for public, (name, key_op) in BASIS_PRODUCTS[TREE_FAMILY].items():
+    record = FAMILIES[TREE_FAMILY]
+    assert set(record.products) == set(TREE_FACE_OPS.values())
+    for public, (name, basis_op) in record.products.items():
         assert public.__name__ == name
+        key_op = KEY_OPS[name.removesuffix("_cell")]
         for x, y in pairs:
-            got = as_lincomb(public(x, y))
-            assert got == LinComb.single(cell_of_key(key_op(x.key, y.key)))
+            x_key, y_key = record.factor_keys([x, y])
+            terms = basis_op(x_key, y_key)
+            assert terms == (key_op(x.key, y.key),)
+            assert as_lincomb(public(x, y)) == LinComb.single(cell_of_key(terms[0]))
 
 
 def _simplex_face_with(op):
@@ -493,7 +501,26 @@ def test_d_squared_check_stops_at_first_failure():
     assert k < len(gc.diff[3]) - 1
     # a row past the first failure that a full scan would trip over
     gc.diff[3][k + 1 :] = [{len(gc.diff[2]): 1}] * (len(gc.diff[3]) - k - 1)
-    gc.d_squared_zero, gc.d_squared_failure = True, None
+    gc.d_squared_failure = None
+    assert gc.d_squared_zero
     _check_d_squared(gc)
     assert not gc.d_squared_zero
     assert gc.d_squared_failure == failure
+    with pytest.raises(AttributeError):
+        gc.d_squared_zero = True
+
+
+def test_family_bases_enumerate_through_module_globals(monkeypatch):
+    # a wrapper set on complexes.enumerate_* sees every basis a build
+    # enumerates: perfbench times cell enumeration that way
+    calls = []
+    for name in ("enumerate_subset_cells", "enumerate_planar_trees"):
+        real = getattr(complexes_mod, name)
+        monkeypatch.setattr(
+            complexes_mod, name, lambda n, real=real, name=name: calls.append((name, n)) or real(n)
+        )
+    build_complex(SIMPLEX_FAMILY, 2)
+    build_complex(TREE_FAMILY, 2)
+    trees = [("enumerate_planar_trees", 2), ("enumerate_planar_trees", 3)]
+    subsets = [("enumerate_subset_cells", 1), ("enumerate_subset_cells", 2)]
+    assert calls == trees + subsets + subsets + trees

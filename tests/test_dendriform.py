@@ -1,6 +1,9 @@
 """Planar-tree algebra: three products, star, relations, generator spans."""
 
+import json
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -33,6 +36,7 @@ from trioperad.dendriform import (
 )
 from trioperad.linear import LinComb, as_lincomb
 from trioperad.relations import relation_statement
+from trioperad.series import f_stasheff
 
 # the 7 relations, frozen as (a, b, c, d) for (x a y) b z = x c (y d z)
 FROZEN_RELATIONS = [
@@ -369,6 +373,31 @@ def test_star_powers_span_all_trees():
 
 def test_star_power_three_has_eleven_terms():
     assert len(star_power(3)) == 11
+
+
+# Run in a fresh interpreter, where every tree of a star power is first
+# made by a product (``cells.graft_each``), not by the constructor or an
+# enumeration: a wrong field on a product-made tree then shows in its
+# degree.
+_STAR_POWER_TERMS = """
+import json
+from trioperad.dendriform import star_power
+print(json.dumps([
+    [(t.degree, c) for t, c in star_power(n).items()] for n in range(1, 8)
+]))
+"""
+
+
+def test_star_power_degrees_match_stasheff_series_in_fresh_process():
+    proc = subprocess.run(
+        [sys.executable, "-c", _STAR_POWER_TERMS], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    fk = f_stasheff(7)
+    for n, terms in enumerate(json.loads(proc.stdout), start=1):
+        assert {c for _, c in terms} == {1}
+        counts = Counter(degree for degree, _ in terms)
+        assert counts == {d: abs(c) for d, c in enumerate(fk.coeffs[n].coeffs)}, n
 
 
 def test_generator_spans():
