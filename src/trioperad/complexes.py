@@ -423,8 +423,8 @@ def homology_ranks(gc: GradedComplex) -> dict:
     Kerber 2011, "Persistent homology computation with a twist"; Bauer,
     Kerber and Reininghaus 2014, "Clear and compress"): the rows of
     ``diff[n]`` whose level-n ids were pivot columns of ``diff[n+1]``
-    are left out.  This keeps rank(d_n) over the rationals.  The reduced
-    pivot rows of d_{n+1} restricted to its pivot columns J are
+    are left out.  This keeps rank(d_n) over the rationals.  The rows
+    ``rank`` keeps for d_{n+1}, restricted to its pivot columns J, are
     triangular with a nonzero diagonal, so for each j in J the image of
     d_{n+1} holds a vector e_j + sum_{k not in J} b_k e_k.  d_n sends it
     to 0, so row j of ``diff[n]`` lies in the span of the rows outside J,

@@ -8,26 +8,19 @@ constructor of the product hot paths: it takes ownership of a dict with
 no zero coefficients and wraps it without a copy, so a product adds all
 its terms into one dict (``_add_into``) and builds one ``LinComb``.
 
-``rank`` is the one elimination engine: fraction-free (cross-multiplying
-integer rows, each reduced by its gcd) with deterministic pivoting: the
-pivot row is the shortest active row, from a length heap; the pivot
-column is its column held by the fewest rows; a column index finds the
-rows to eliminate.  An update walks only the pivot row: it copies the
-target row and adds to it a multiple of the pivot row, entry by entry.
-A pivot of +-1, every pivot of the chain complexes, needs no
-cross-multiplication: r - (r_c * p_c) * p is the cross-multiplied row
-times p_c, with the same support and content.  Entries are ``int`` (a
-``Fraction`` or float raises ``TypeError``), and ``rank`` never modifies
-an input row.  On request it also hands back its pivot columns, which
-``complexes.homology_ranks`` uses to clear the rows of the next boundary
-matrix down.
+``rank`` is the one elimination engine, a fraction-free row reduction:
+it reduces each row in turn against the rows kept under their highest
+column, cross-multiplying integer rows and dividing each new row by its
+gcd.  Entries are ``int`` (a ``Fraction`` or float raises
+``TypeError``), and ``rank`` never modifies an input row.  On request it
+also hands back its pivot columns, which ``complexes.homology_ranks``
+uses to clear the rows of the next boundary matrix down.
 """
 
 from __future__ import annotations
 
 from collections.abc import Hashable, Iterable, Mapping
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
 from math import gcd
 
 
@@ -148,7 +141,7 @@ def as_lincomb(x) -> LinComb:
 
 
 # =====================================================================
-# rank via sparse fraction-free elimination
+# rank via sparse fraction-free row reduction
 # =====================================================================
 
 
@@ -173,94 +166,37 @@ def rank(rows: Iterable, pivots: list | None = None) -> int:
 
     Rows may be dense sequences or sparse {column: coefficient} dicts
     (or other mappings) with ``int`` entries; a ``Fraction`` or float
-    entry raises ``TypeError``.  No row is modified: an update copies the
-    target row r and walks the pivot row p once, adding to r where an
-    entry appears and deleting where one cancels.  With pivot entry p_c
-    = +-1 it subtracts (r_c * p_c) * p, which is the cross-multiplied row
-    p_c * r - r_c * p times p_c: the same support and content, so the
-    pivots and the rank are those of cross-multiplication, which every
-    other pivot uses.  Each new row is reduced by its gcd to control
-    growth.
+    entry raises ``TypeError``.  No input row is modified: every update
+    builds a new dict.
 
-    Pivot choice is deterministic and no step scans all active rows.  The
-    pivot row is the shortest active row (lowest row id on ties), taken
-    from a heap of (length, row id) entries; an entry whose row is gone or
-    has changed length is skipped.  The pivot column is the pivot row's
-    column held by the fewest active rows, then the lowest column.  A
-    column index (column -> ids of the active rows holding it) gives those
-    counts and the rows to eliminate; each update changes it only for the
-    pivot-row columns where an entry appears or cancels.
+    The rows are taken in order and reduced against a table of kept
+    rows, one per column (the standard reduction of persistent homology,
+    Zomorodian and Carlsson 2005).  While a row r is nonempty, let c be
+    its highest column.  If no row is kept under c, r is kept there;
+    otherwise, with p the row kept under c, r becomes p_c * r - r_c * p
+    divided by its content.  The rank is the number of kept rows.
 
-    If ``pivots`` is a list, the pivot column of each step is appended to
-    it in pivot order: rank-many distinct columns, on which the rows
-    have full rank.  Each pivot row lacks the earlier pivot columns, so
-    the reduced pivot rows restricted to them are triangular with a
-    nonzero diagonal.
+    If ``pivots`` is a list, the column of each kept row is appended to
+    it: rank-many distinct columns, on which the rows have full rank.  A
+    kept row has no entry above its own column, so the kept rows
+    restricted to these columns are triangular with a nonzero diagonal.
     """
-    active: dict[int, dict[int, int]] = {}
-    cols: dict[int, set[int]] = {}
-    for rid, row in enumerate(rows):
+    kept: dict[int, dict[int, int]] = {}
+    for row in rows:
         r = _integer_row(row)
-        if r:
-            active[rid] = r
-            for c in r:
-                cols.setdefault(c, set()).add(rid)
-    heap = [(len(r), rid) for rid, r in active.items()]
-    heapify(heap)
-    rk = 0
-    while heap:
-        length, pid = heappop(heap)
-        pivot_row = active.get(pid)
-        if pivot_row is None or len(pivot_row) != length:
-            continue
-        del active[pid]
-        pc = min(pivot_row, key=lambda c: (len(cols[c]), c))
-        pv = pivot_row[pc]
-        rk += 1
-        if pivots is not None:
-            pivots.append(pc)
-        # no row gains column pc from here on: only pivot rows bring new
-        # columns, and every later pivot row lacks pc
-        holders = cols.pop(pc)
-        holders.discard(pid)
-        rest = [(c, v) for c, v in pivot_row.items() if c != pc]
-        for c, _ in rest:
-            cols[c].discard(pid)
-        unit = pv == 1 or pv == -1
-        # an update adds f times the rest of the pivot row; with entries
-        # +-1, f is nearly always +-1, so both are built once per pivot
-        neg = [(c, -v) for c, v in rest]
-        for rid in sorted(holders):
-            r = active[rid]
-            rv = r[pc]
-            if unit:
-                # r - (rv * pv) * pivot_row: the cross-multiplied row times
-                # pv, so the same support and content
-                new = dict(r)
-                f = -rv * pv
-            else:
-                new = {c: v * pv for c, v in r.items()}
-                f = -rv
-            del new[pc]
-            delta = rest if f == 1 else neg if f == -1 else [(c, f * v) for c, v in rest]
-            # only the pivot row's columns change: an entry appears
-            # (fill-in) or cancels
-            for c, d in delta:
-                w = new.get(c)
-                if w is None:
-                    new[c] = d
-                    cols[c].add(rid)
-                elif w + d:
-                    new[c] = w + d
-                else:
-                    del new[c]
-                    cols[c].discard(rid)
-            if new:
-                g = gcd(*new.values())
+        while r:
+            c = max(r)
+            p = kept.get(c)
+            if p is None:
+                kept[c] = r
+                if pivots is not None:
+                    pivots.append(c)
+                break
+            pc, rc = p[c], r[c]
+            r = {k: pc * v for k, v in r.items()}
+            _add_into(r, p, -rc)
+            if r:
+                g = gcd(*r.values())
                 if g > 1:
-                    new = {c: v // g for c, v in new.items()}
-                active[rid] = new
-                heappush(heap, (len(new), rid))
-            else:
-                del active[rid]
-    return rk
+                    r = {k: v // g for k, v in r.items()}
+    return len(kept)

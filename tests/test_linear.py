@@ -7,7 +7,13 @@ from types import MappingProxyType
 
 import pytest
 
-from trioperad.complexes import build_complex
+from trioperad.complexes import (
+    SIMPLEX_FACE_CANDIDATES,
+    SIMPLEX_FAMILY,
+    TREE_FACE_CANDIDATES,
+    TREE_FAMILY,
+    build_complex,
+)
 from trioperad.linear import LinComb, as_lincomb, rank
 
 
@@ -184,8 +190,7 @@ def test_rank_fuzz_dependent_rows_against_independent_referee():
 
 
 def test_rank_fuzz_unit_entries_against_independent_referee():
-    # entries in {-1, 0, 1}, as in the complexes' boundary maps: nearly
-    # every pivot is +-1, so the unit-pivot update carries most updates
+    # entries in {-1, 0, 1}, as in the complexes' boundary maps
     rng = random.Random(17)
     for _ in range(40):
         m = rng.randint(20, 40)
@@ -199,19 +204,30 @@ def test_rank_fuzz_unit_entries_against_independent_referee():
         assert rank(rows) == naive_dense_rank(dense)
 
 
-def test_rank_non_unit_pivot_then_minus_one_pivot():
-    # The pivots, in order: row 0 at column 0 with value 2 (the
-    # cross-multiplied update of row 2), row 1 at column 1 with value -1
-    # (the unit update of rows 2 and 3), then row 2.  Row 3 is
-    # row 0 - 3 row 1 - 2 row 2 and cancels to nothing.
-    rows = [{0: 2, 1: 1}, {1: -1, 2: 1}, {0: 1, 2: -1, 3: 1}, {1: 4, 2: -1, 3: -2}]
+def test_rank_non_unit_kept_entry_content_and_cancellation():
+    # Row 0 is kept under column 3 with entry 2 and reduces rows 1-3.
+    # Row 1: 2 row 1 - row 0 = (3, 0, -3, 0), content 3, kept under 2.
+    # Row 2: 2 row 2 / 3 - row 0 = (1, 0, -1, 0), which cancels against
+    # the row kept under 2.  Row 3: (-1, 2, -1, 0) after row 0, then
+    # (2, -2, 0, 0) after the row kept under 2, content 2, kept under 1.
+    rows = [{0: 1, 2: 1, 3: 2}, {0: 2, 2: -1, 3: 1}, {0: 3, 3: 3}, {1: 2, 3: 2}]
     dense = [[row.get(j, 0) for j in range(4)] for row in rows]
-    assert rank(rows) == naive_dense_rank(dense) == 3
+    pivots = []
+    assert rank(rows, pivots) == naive_dense_rank(dense) == 3
+    assert pivots == [3, 2, 1]
+
+
+def _check_rank_and_pivots(rows, ncols):
+    # the rank, and pivot columns: rank-many, distinct, and the rows
+    # restricted to them keep the full rank
+    pivots = []
+    r = rank(rows, pivots)
+    assert r == naive_dense_rank([[row.get(j, 0) for j in range(ncols)] for row in rows])
+    assert len(pivots) == len(set(pivots)) == r
+    assert naive_dense_rank([[row.get(j, 0) for j in pivots] for row in rows]) == r
 
 
 def test_rank_pivot_columns_fuzz_against_independent_referee():
-    # the pivot columns: rank-many, distinct, and the rows restricted to
-    # them keep the full rank
     rng = random.Random(23)
     for _ in range(200):
         m = rng.randint(1, 20)
@@ -224,12 +240,7 @@ def test_rank_pivot_columns_fuzz_against_independent_referee():
         if m > 2:
             a, b = rng.sample(rows, 2)
             rows.append({j: a.get(j, 0) - b.get(j, 0) for j in a.keys() | b.keys()})
-        pivots = []
-        r = rank(rows, pivots)
-        assert r == naive_dense_rank([[row.get(j, 0) for j in range(n)] for row in rows])
-        assert len(pivots) == len(set(pivots)) == r
-        restricted = [[row.get(j, 0) for j in pivots] for row in rows]
-        assert naive_dense_rank(restricted) == r
+        _check_rank_and_pivots(rows, n)
 
 
 def test_rank_pivot_columns_of_known_matrix():
@@ -239,3 +250,16 @@ def test_rank_pivot_columns_of_known_matrix():
     pivots = []
     assert rank([], pivots) == 0
     assert pivots == []
+
+
+@pytest.mark.parametrize(
+    "family,face",
+    [(TREE_FAMILY, face) for _, _, face in TREE_FACE_CANDIDATES]
+    + [(SIMPLEX_FAMILY, face) for _, _, face in SIMPLEX_FACE_CANDIDATES],
+)
+def test_rank_of_boundary_matrices_against_independent_referee(family, face):
+    # the matrices rank meets in the program, d^2 = 0 or not
+    for w in range(2, 5):
+        gc = build_complex(family, w, face)
+        for n, rows in gc.diff.items():
+            _check_rank_and_pivots(rows, gc.dims()[n - 1])
