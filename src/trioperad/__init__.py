@@ -5,7 +5,8 @@ left, right and middle products), the other by planar trees (a splitting
 of one associative product into three parts).  The package certifies the
 algebraic axioms of both sides, the orthogonality of their relation
 spans, the chain complexes the pairing induces, and the generating series
-that count cells, all over exact rationals.
+that count cells, all over the integers; ``Fraction`` enters only at the
+API edge, as a rational scalar or a series evaluation point.
 """
 
 from .cells import (

@@ -5,30 +5,35 @@ coefficient cell of arity n tensored with n basis factors from the
 *other* family's free algebra, with factor weights composing w:
 
 * ``simplex`` family: coefficient = simplex cell of {1..n}, factors =
-  planar trees.  Face i merges factors i, i+1 with a product read off the
-  membership of i and i+1 in the coefficient subset (mid / prec / succ /
-  star), and collapses the subset accordingly.  The two mixed-membership
-  rows admit two orientations (which of i, i+1 selects prec); only one
-  makes d^2 = 0 -- at n = 3 the seven coefficient cells then reproduce
-  exactly the seven tree-algebra relations -- and
-  ``simplex_convention_sweep`` pins it.
+  planar trees.  Face i collapses vertices i, i+1 of the coefficient X
+  to X' and multiplies factors i, i+1 by the tree product dual to the
+  generator g with X = X' o_i g: the mask of i, i+1 in X is g's.  When
+  neither is in X every g fits, and the face multiplies by ``star``, the
+  sum of the three duals.
 * ``tree`` family: coefficient = planar tree with n+1 leaves, factors =
   simplex cells.  The n factors sit in the n gaps between consecutive
   leaves, so face i removes the leaf between factors i and i+1 -- leaf
-  i+1 -- and multiplies the factors with left / right / mid according to
-  that leaf's orientation.
+  i+1 -- and multiplies the factors by the cell product dual to the tree
+  generator that the leaf's orientation names.
 
+"Dual" is the duality's generator pairing ``PAIRING`` (left <-> prec,
+right <-> succ, mid <-> mid); ``WINDOW_GENERATORS`` and
+``LEAF_GENERATORS`` name the generators.  Each face is thus meant as
+the transpose of a partial composition with a generator, the face of the
+Koszul complex of the pair (Loday and Vallette 2012, *Algebraic Operads*,
+7.4); no tree composition is in the code, so the tree rule is checked
+through d^2 and homology only.
 The differential is the alternating face sum d = -sum_i (-1)^i d_i.
-The leaf-index/orientation convention for the tree family is pinned by
-``face_convention_sweep``, which rebuilds small complexes under every
-candidate convention and shows the pinned one is the only candidate with
-d^2 = 0 and the right homology.
+``simplex_convention_sweep`` and ``face_convention_sweep`` rebuild small
+complexes under the mirrored pairing (prec and succ swapped) and, for
+trees, the other leaf offset, and show that the pinned convention is the
+only candidate with d^2 = 0 and the right homology.
 
 A face convention is one function ``face(coeff, memo)`` listing the
 faces i = 1..n-1 of a coefficient of arity n, each as the face
 coefficient and the product that merges factors i, i+1:
-``simplex_face`` (``collapse_vertex`` and ``simplex_face_product``; it
-ignores ``memo``) and ``tree_face`` (a slice of the ``cells.leaf_faces``
+``simplex_face(pairing)`` (it ignores ``memo``) and
+``tree_face(leaf_offset, pairing)`` (a slice of the ``cells.leaf_faces``
 table, whose subtree tables ``memo`` keeps) build the candidates the
 sweeps try.  ``face_map`` applies one face to one element; it defines
 what ``build_complex`` computes and serves as the reference in the
@@ -80,51 +85,30 @@ from .cells import (
     enumerate_subset_cells,
     leaf_faces,
 )
-from .dendriform import BASIS_OPS, DEND_OPS
+from .dendriform import BASIS_OPS, DEND_OPS, DENDRIFORM_SCHEME
 from .linear import LinComb, as_lincomb, rank
 from .relations import require_bound
-from .trialgebra import left_cell, left_key, mid_cell, mid_key, right_cell, right_key
+from .trialgebra import KEY_OPS, TRI_OPS, TRIALGEBRA_SCHEME
 
 SIMPLEX_FAMILY = "simplex"
 TREE_FAMILY = "tree"
 
-# Pinned by face_convention_sweep: face i reads leaf i+1 (1-based), and
-# orientations map left->left, right->right, middle->mid.
+# The duality's generator pairing (``duality`` pairs the two schemes'
+# generators by position): left <-> prec, right <-> succ, mid <-> mid.
+PAIRING = dict(zip(TRIALGEBRA_SCHEME.generators, DENDRIFORM_SCHEME.generators))
+# the sweeps' other candidate: the same pairing with prec and succ swapped
+MIRRORED_PAIRING = {g: {"prec": "succ", "succ": "prec"}.get(t, t) for g, t in PAIRING.items()}
+# The shape maps.  The mask of vertices i, i+1 of a cell X is that of the
+# simplex generator g with X = X' o_i g: {1}@2 left, {2}@2 right, {1,2}@2
+# mid.  The removed leaf has the orientation of leaf 2 in the tree
+# generator's tree: (|,(|,|)) prec, ((|,|),|) succ, (|,|,|) mid.
+WINDOW_GENERATORS = {1: "left", 2: "right", 3: "mid"}
+LEAF_GENERATORS = {
+    LeafOrientation.LEFT: "prec", LeafOrientation.RIGHT: "succ", LeafOrientation.MIDDLE: "mid"
+}
+
+# Pinned by face_convention_sweep: face i reads leaf i+1 (1-based).
 TREE_FACE_LEAF_OFFSET = 1
-TREE_FACE_OPS = {
-    LeafOrientation.LEFT: left_cell,
-    LeafOrientation.RIGHT: right_cell,
-    LeafOrientation.MIDDLE: mid_cell,
-}
-_MIRRORED_OPS = {
-    LeafOrientation.LEFT: right_cell,
-    LeafOrientation.RIGHT: left_cell,
-    LeafOrientation.MIDDLE: mid_cell,
-}
-
-
-# Both tables agree on the unmixed rows: mid when i and i+1 are both in
-# the subset, star when neither is.  They differ on which mixed row gets
-# prec.  Only SIMPLEX_FACE_TABLE satisfies d^2 = 0 (the sweep shows the
-# mirrored table fails already at weight 3).
-SIMPLEX_FACE_TABLE = {
-    (True, True): "mid",
-    (True, False): "prec",
-    (False, True): "succ",
-    (False, False): "star",
-}
-_MIRRORED_SIMPLEX_TABLE = {
-    (True, True): "mid",
-    (True, False): "succ",
-    (False, True): "prec",
-    (False, False): "star",
-}
-
-
-def simplex_face_product(i: int, cell: SubsetCell, table=SIMPLEX_FACE_TABLE) -> str:
-    """Which product merges factors i, i+1 over a simplex coefficient."""
-    m = cell.mask >> (i - 1)
-    return table[(m & 1 == 1, m & 2 == 2)]
 
 
 def collapse_vertex(cell: SubsetCell, i: int) -> SubsetCell:
@@ -134,26 +118,34 @@ def collapse_vertex(cell: SubsetCell, i: int) -> SubsetCell:
     return SubsetCell(cell.arity - 1, low | cell.mask >> i << (i - 1))
 
 
-def simplex_face(table=SIMPLEX_FACE_TABLE):
+def simplex_face(pairing=PAIRING):
     """The simplex-family face convention: face i collapses vertices i,
-    i+1 of the coefficient cell and merges the factors with the product
-    ``table`` reads off their membership.  ``memo`` is unused."""
+    i+1 of the coefficient cell and multiplies the factors by the tree
+    product ``pairing`` pairs with the generator ``WINDOW_GENERATORS``
+    reads off the mask of those two vertices; an empty window fits every
+    generator, and the face multiplies by the sum of the three, ``star``.
+    ``memo`` is unused."""
+    ops = {mask: DEND_OPS[pairing[g]] for mask, g in WINDOW_GENERATORS.items()}
+    ops[0] = DEND_OPS[DENDRIFORM_SCHEME.sum_symbol]
 
     def face(cell: SubsetCell, memo: dict) -> list:
         return [
-            (collapse_vertex(cell, i), DEND_OPS[simplex_face_product(i, cell, table)])
+            (collapse_vertex(cell, i), ops[cell.mask >> (i - 1) & 3])
             for i in range(1, cell.arity)
         ]
 
     return face
 
 
-def tree_face(leaf_offset: int = TREE_FACE_LEAF_OFFSET, ops=TREE_FACE_OPS):
+def tree_face(leaf_offset: int = TREE_FACE_LEAF_OFFSET, pairing=PAIRING):
     """The tree-family face convention: face i removes leaf i +
-    ``leaf_offset`` of the coefficient tree and merges the factors with
-    the product ``ops`` assigns to that leaf's orientation.  All faces
-    come from one ``leaf_faces`` table, which reads the tables of
-    subtrees from ``memo``."""
+    ``leaf_offset`` of the coefficient tree and multiplies the factors by
+    the cell product (``trialgebra.TRI_OPS``) that ``pairing`` pairs with
+    the tree generator ``LEAF_GENERATORS`` reads off that leaf's
+    orientation.  All faces come from one ``leaf_faces`` table, which
+    reads the tables of subtrees from ``memo``."""
+    dual = {t: g for g, t in pairing.items()}
+    ops = {orientation: TRI_OPS[dual[t]] for orientation, t in LEAF_GENERATORS.items()}
 
     def face(tree: PlanarTree, memo: dict) -> list:
         table = leaf_faces(tree, memo)[leaf_offset : leaf_offset + tree.leaves - 2]
@@ -194,8 +186,8 @@ FAMILIES = {
         dual=SIMPLEX_FAMILY,
         face=tree_face(),
         products={
-            op: (op.__name__, lambda x, y, key_op=key_op: (key_op(x, y),))
-            for op, key_op in ((left_cell, left_key), (right_cell, right_key), (mid_cell, mid_key))
+            TRI_OPS[name]: (name, lambda x, y, key_op=key_op: (key_op(x, y),))
+            for name, key_op in KEY_OPS.items()
         },
         factor_keys=lambda cells: [c.key for c in cells],
     ),
@@ -489,21 +481,16 @@ def _sweep(family: str, max_weight: int, candidates, pinned_label, **pin_fields)
 
 # The candidate conventions of the two sweeps, each (label, report
 # fields, face).  Tree family: leaf offset 0/1 (face i reads leaf i or
-# leaf i+1) crossed with the natural or mirrored orientation map.
-# Simplex family: both orientations of the mixed rows of the
-# face-product table.
+# leaf i+1) crossed with the pinned or the mirrored pairing.  Simplex
+# family: the same two pairings.
 TREE_FACE_CANDIDATES = [
-    (
-        (offset, ops_name),
-        {"leaf_offset": offset, "orientation_map": ops_name},
-        tree_face(offset, ops),
-    )
+    ((offset, name), {"leaf_offset": offset, "orientation_map": name}, tree_face(offset, pairing))
     for offset in (0, 1)
-    for ops_name, ops in (("natural", TREE_FACE_OPS), ("mirrored", _MIRRORED_OPS))
+    for name, pairing in (("natural", PAIRING), ("mirrored", MIRRORED_PAIRING))
 ]
 SIMPLEX_FACE_CANDIDATES = [
-    (name, {"table": name}, simplex_face(table))
-    for name, table in (("pinned", SIMPLEX_FACE_TABLE), ("mirrored", _MIRRORED_SIMPLEX_TABLE))
+    (name, {"table": name}, simplex_face(pairing))
+    for name, pairing in (("pinned", PAIRING), ("mirrored", MIRRORED_PAIRING))
 ]
 
 

@@ -21,12 +21,12 @@ q the arities of x and y, the products are
     right = y << p
     mid   = x ^ 1 << p | y << p
 
-``gamma``, ``left_cell``, ``right_cell`` and ``mid_cell`` are thin
-wrappers that take and return ``SubsetCell``.  The exhaustive checks run
-on keys and build a cell only to render a counterexample; the bilinear
-products ``tri_left``/``tri_right``/``tri_mid`` and ``boundary`` add all
-their terms into one dict on keys (``_key_sum`` is the one bilinear
-loop) and build one cell per distinct output key.
+``gamma`` is a thin wrapper that takes and returns ``SubsetCell``.  The
+exhaustive checks run on keys and build a cell only to render a
+counterexample; the bilinear products ``tri_left``/``tri_right``/``tri_mid``
+(``TRI_OPS``) and ``boundary`` add all their terms into one dict on keys
+(``_key_sum`` is the one bilinear loop) and build one cell per distinct
+output key.
 
 ``check_dg_rules`` is a discovery harness for how the simplicial boundary
 interacts with the three products: it tests several candidate compatibility
@@ -193,21 +193,6 @@ def mid_key(x: int, y: int) -> int:
     """x -|- y on keys: union of x's subset and y's shifted subset."""
     p = x.bit_length() - 1
     return x ^ 1 << p | y << p
-
-
-def left_cell(x: SubsetCell, y: SubsetCell) -> SubsetCell:
-    """x -| y : ``left_key`` on cells."""
-    return cell_of_key(left_key(x.key, y.key))
-
-
-def right_cell(x: SubsetCell, y: SubsetCell) -> SubsetCell:
-    """x |- y : ``right_key`` on cells."""
-    return cell_of_key(right_key(x.key, y.key))
-
-
-def mid_cell(x: SubsetCell, y: SubsetCell) -> SubsetCell:
-    """x -|- y : ``mid_key`` on cells."""
-    return cell_of_key(mid_key(x.key, y.key))
 
 
 KEY_OPS = {"left": left_key, "right": right_key, "mid": mid_key}

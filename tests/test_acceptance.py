@@ -17,28 +17,34 @@ from math import comb
 from trioperad.cells import enumerate_planar_trees, enumerate_subset_cells
 from trioperad.cli import certify_all
 from trioperad.complexes import (
-    SIMPLEX_FACE_TABLE,
     SIMPLEX_FAMILY,
-    TREE_FACE_OPS,
     TREE_FAMILY,
     build_complex,
     expected_betti,
     face_convention_sweep,
     homology_ranks,
     simplex_convention_sweep,
+    simplex_face,
+    tree_face,
 )
-from trioperad.dendriform import check_dendriform_relations, star_associativity, star_power
+from trioperad.dendriform import (
+    DEND_OPS,
+    check_dendriform_relations,
+    star_associativity,
+    star_power,
+)
 from trioperad.duality import certify_duality
 from trioperad.linear import LinComb
 from trioperad.series import f_cube, f_delta, f_stasheff, series_identities_report
 from trioperad.trialgebra import (
+    TRI_OPS,
     boundary,
     check_dg_rules,
     check_operad_axioms,
     check_trialgebra_relations,
     tri_right,
 )
-from trioperad.cells import LeafOrientation, parse_subset_cell
+from trioperad.cells import parse_subset_cell, parse_tree
 
 
 def report(criterion: str, passed: bool, detail: str) -> None:
@@ -136,14 +142,18 @@ def test_criterion_06_d_squared_zero_and_face_tables():
         for w in range(1, 6):
             gc = build_complex(family, w)
             assert gc.d_squared_zero, (family, w, gc.d_squared_failure)
-    # quoted case analyses: both-endpoints row is the mid product, and the
-    # left-oriented-leaf row is the left product
-    assert SIMPLEX_FACE_TABLE[(True, True)] == "mid"
-    assert SIMPLEX_FACE_TABLE[(False, False)] == "star"
-    assert sorted(SIMPLEX_FACE_TABLE.values()) == ["mid", "prec", "star", "succ"]
-    assert TREE_FACE_OPS[LeafOrientation.LEFT].__name__ == "left_cell"
-    assert TREE_FACE_OPS[LeafOrientation.RIGHT].__name__ == "right_cell"
-    assert TREE_FACE_OPS[LeafOrientation.MIDDLE].__name__ == "mid_cell"
+    # quoted case analyses, read off face 1 of the pinned faces on arity-2
+    # coefficients: the simplex face multiplies by mid when both endpoints
+    # are in the subset, by prec / succ when only the first / the second
+    # is, and by star when neither is (which needs arity 3); the tree face
+    # multiplies by left / right / mid when the removed leaf 2 is a left /
+    # right / middle child
+    simplex_rows = {"{1,2}@2": "mid", "{1}@2": "prec", "{2}@2": "succ", "{3}@3": "star"}
+    for literal, name in simplex_rows.items():
+        assert simplex_face()(parse_subset_cell(literal), {})[0][1] is DEND_OPS[name]
+    tree_rows = {"(|,(|,|))": "left", "((|,|),|)": "right", "(|,|,|)": "mid"}
+    for literal, name in tree_rows.items():
+        assert tree_face()(parse_tree(literal), {})[0][1] is TRI_OPS[name]
     # the mixed-row orientation and the leaf indexing are each the unique
     # choice compatible with d^2 = 0 (see the convention sweeps)
     assert simplex_convention_sweep(3)["pinned_is_unique_pass"]

@@ -547,9 +547,9 @@ def test_complex_build_wrong_betti_exits_1(capsys, monkeypatch, report):
 
 
 def test_complex_build_d2_failure_in_payload(capsys, monkeypatch):
-    # the pinned simplex face swapped for the mirrored table: d^2 != 0 at
-    # weight 3, and the payload names the first failing element
-    mirrored = complexes_mod.simplex_face(complexes_mod._MIRRORED_SIMPLEX_TABLE)
+    # the pinned simplex face swapped for the mirrored pairing: d^2 != 0
+    # at weight 3, and the payload names the first failing element
+    mirrored = complexes_mod.simplex_face(complexes_mod.MIRRORED_PAIRING)
     pinned = complexes_mod.FAMILIES["simplex"]
     monkeypatch.setitem(
         complexes_mod.FAMILIES, "simplex", dataclasses.replace(pinned, face=mirrored)

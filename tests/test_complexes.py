@@ -19,13 +19,15 @@ from trioperad.cells import (
 )
 from trioperad.complexes import (
     FAMILIES,
+    LEAF_GENERATORS,
+    MIRRORED_PAIRING,
+    PAIRING,
     SIMPLEX_FACE_CANDIDATES,
-    SIMPLEX_FACE_TABLE,
     SIMPLEX_FAMILY,
     TREE_FACE_CANDIDATES,
     TREE_FACE_LEAF_OFFSET,
-    TREE_FACE_OPS,
     TREE_FAMILY,
+    WINDOW_GENERATORS,
     _check_d_squared,
     build_complex,
     collapse_vertex,
@@ -36,12 +38,12 @@ from trioperad.complexes import (
     level_dims,
     simplex_convention_sweep,
     simplex_face,
-    simplex_face_product,
     tree_face,
 )
-from trioperad.dendriform import DEND_OPS
+from trioperad.dendriform import BASIS_OPS, DEND_OPS, DENDRIFORM_SCHEME, GENERATOR
+from trioperad.duality import _relation_vector
 from trioperad.linear import LinComb, as_lincomb, rank
-from trioperad.trialgebra import KEY_OPS, left_cell
+from trioperad.trialgebra import KEY_OPS, OPERAD_UNIT, TRI_OPS, TRIALGEBRA_SCHEME
 
 A = parse_tree("(|,|)")
 
@@ -59,20 +61,66 @@ TREE_DIMS = {
 # ------------------------------------------------------------- face rules
 
 
+# Reference tables, kept here as literals: the product of the simplex
+# face by the membership of vertices i, i+1 in the coefficient subset,
+# and the cell product of the tree face by the removed leaf's orientation.
+_LEFT, _RIGHT, _MIDDLE = LeafOrientation.LEFT, LeafOrientation.RIGHT, LeafOrientation.MIDDLE
+_SIMPLEX_TABLES = {
+    "pinned": {
+        (True, True): "mid", (True, False): "prec", (False, True): "succ", (False, False): "star"
+    },
+    "mirrored": {
+        (True, True): "mid", (True, False): "succ", (False, True): "prec", (False, False): "star"
+    },
+}
+_TREE_OPS = {
+    "natural": {_LEFT: "left", _RIGHT: "right", _MIDDLE: "mid"},
+    "mirrored": {_LEFT: "right", _RIGHT: "left", _MIDDLE: "mid"},
+}
+
+
 def test_simplex_face_table_pinned():
-    # mid when both endpoints are in the subset, star when neither;
-    # the mixed rows are the orientation pinned by simplex_convention_sweep
-    assert SIMPLEX_FACE_TABLE[(True, True)] == "mid"
-    assert SIMPLEX_FACE_TABLE[(False, False)] == "star"
-    assert SIMPLEX_FACE_TABLE[(True, False)] == "prec"
-    assert SIMPLEX_FACE_TABLE[(False, True)] == "succ"
+    # the face build_complex uses by default: mid when both endpoints are
+    # in the subset, star when neither; the mixed rows are the orientation
+    # pinned by simplex_convention_sweep.  Membership is read through
+    # cell.elements, not the mask.
+    face = FAMILIES[SIMPLEX_FAMILY].face
+    table = _SIMPLEX_TABLES["pinned"]
+    for n in range(2, 5):
+        for c in enumerate_subset_cells(n):
+            for i, (_, op) in enumerate(face(c, {}), 1):
+                assert op is DEND_OPS[table[(i in c.elements, i + 1 in c.elements)]], (c, i)
+
+
+def _face_product(i, coeff):
+    return simplex_face()(coeff, {})[i - 1][1]
 
 
 def test_simplex_face_product_reads_membership():
-    assert simplex_face_product(1, cell("{1,2}@3")) == "mid"
-    assert simplex_face_product(2, cell("{1}@3")) == "star"
-    assert simplex_face_product(1, cell("{1}@3")) == "prec"
-    assert simplex_face_product(1, cell("{2}@3")) == "succ"
+    assert _face_product(1, cell("{1,2}@3")) is DEND_OPS["mid"]
+    assert _face_product(2, cell("{1}@3")) is DEND_OPS["star"]
+    assert _face_product(1, cell("{1}@3")) is DEND_OPS["prec"]
+    assert _face_product(1, cell("{2}@3")) is DEND_OPS["succ"]
+
+
+def test_shape_maps_and_pairing_derived():
+    # the arity-2 case of "each face is the transpose of a partial
+    # composition with a generator": the window of each simplex generator
+    # U g U is its own mask, and the removed leaf 2 of each tree
+    # generator's tree has the orientation the leaf map names
+    unit = OPERAD_UNIT.key
+    assert {cell_of_key(op(unit, unit)).mask: g for g, op in KEY_OPS.items()} == WINDOW_GENERATORS
+    trees = {g: BASIS_OPS[g](GENERATOR, GENERATOR) for g in DENDRIFORM_SCHEME.generators}
+    assert all(len(t) == 1 for t in trees.values())
+    assert {leaf_orientation(t, 2): g for g, (t,) in trees.items()} == LEAF_GENERATORS
+    # the pairing is the one the duality certificate uses: generators by
+    # position, so a row that names g pairs with one that names PAIRING[g]
+    for g, t in PAIRING.items():
+        assert TRIALGEBRA_SCHEME.generators.index(g) == DENDRIFORM_SCHEME.generators.index(t)
+        assert _relation_vector(TRIALGEBRA_SCHEME, (g,) * 4) == _relation_vector(
+            DENDRIFORM_SCHEME, (t,) * 4
+        )
+    assert MIRRORED_PAIRING == {"left": "succ", "right": "prec", "mid": "mid"}
 
 
 def test_collapse_vertex():
@@ -121,34 +169,18 @@ def test_tree_face_leaf_offset_pinned():
     assert TREE_FACE_LEAF_OFFSET == 1
 
 
-# the maps the sweeps' report fields name, rebuilt from the pinned ones
-_LEFT, _RIGHT, _MIDDLE = LeafOrientation.LEFT, LeafOrientation.RIGHT, LeafOrientation.MIDDLE
-_TREE_OPS = {
-    "natural": TREE_FACE_OPS,
-    "mirrored": {
-        _LEFT: TREE_FACE_OPS[_RIGHT],
-        _RIGHT: TREE_FACE_OPS[_LEFT],
-        _MIDDLE: TREE_FACE_OPS[_MIDDLE],
-    },
-}
-_SIMPLEX_TABLES = {
-    "pinned": SIMPLEX_FACE_TABLE,
-    "mirrored": {**SIMPLEX_FACE_TABLE, (True, False): "succ", (False, True): "prec"},
-}
-
-
 def _one_element_faces(fields, coeff):
     """Faces 1..n-1 of ``coeff`` from the public one-element helpers,
     under the sweep convention with report fields ``fields``."""
     if "table" in fields:
         table = _SIMPLEX_TABLES[fields["table"]]
+        window = [(i in coeff.elements, i + 1 in coeff.elements) for i in range(1, coeff.arity)]
         return [
-            (collapse_vertex(coeff, i), DEND_OPS[simplex_face_product(i, coeff, table)])
-            for i in range(1, coeff.arity)
+            (collapse_vertex(coeff, i), DEND_OPS[table[w]]) for i, w in enumerate(window, 1)
         ]
     offset, ops = fields["leaf_offset"], _TREE_OPS[fields["orientation_map"]]
     return [
-        (remove_leaf(coeff, i + offset), ops[leaf_orientation(coeff, i + offset)])
+        (remove_leaf(coeff, i + offset), TRI_OPS[ops[leaf_orientation(coeff, i + offset)]])
         for i in range(1, coeff.leaves - 1)
     ]
 
@@ -201,10 +233,10 @@ def test_cell_basis_products_match_public_products():
         for y in enumerate_subset_cells(q)
     ]
     record = FAMILIES[TREE_FAMILY]
-    assert set(record.products) == set(TREE_FACE_OPS.values())
+    assert {name for name, _ in record.products.values()} == set(TRI_OPS)
     for public, (name, basis_op) in record.products.items():
-        assert public.__name__ == name
-        key_op = KEY_OPS[name.removesuffix("_cell")]
+        assert public is TRI_OPS[name]
+        key_op = KEY_OPS[name]
         for x, y in pairs:
             x_key, y_key = record.factor_keys([x, y])
             terms = basis_op(x_key, y_key)
@@ -217,21 +249,24 @@ def _simplex_face_with(op):
 
 
 def _tree_face_with(op):
-    return tree_face(ops=dict.fromkeys(LeafOrientation, op))
+    def face(t, memo):
+        return [(low, op) for low, _ in tree_face()(t, memo)]
+
+    return face
 
 
 _TREE_PRODUCTS = "prec, succ, mid, star"
-_CELL_PRODUCTS = "left_cell, right_cell, mid_cell"
+_CELL_PRODUCTS = "left, right, mid"
 
 
 @pytest.mark.parametrize(
     "family,face,accepted",
     [
         # a product of the other family, and a product outside the map
-        (SIMPLEX_FAMILY, _simplex_face_with(left_cell), _TREE_PRODUCTS),
+        (SIMPLEX_FAMILY, _simplex_face_with(TRI_OPS["left"]), _TREE_PRODUCTS),
         (SIMPLEX_FAMILY, _simplex_face_with(lambda x, y: DEND_OPS["prec"](x, y)), _TREE_PRODUCTS),
         (TREE_FAMILY, _tree_face_with(DEND_OPS["mid"]), _CELL_PRODUCTS),
-        (TREE_FAMILY, _tree_face_with(lambda x, y: left_cell(x, y)), _CELL_PRODUCTS),
+        (TREE_FAMILY, _tree_face_with(lambda x, y: TRI_OPS["left"](x, y)), _CELL_PRODUCTS),
     ],
 )
 def test_face_product_outside_basis_products_raises(family, face, accepted):
@@ -427,14 +462,8 @@ def test_simplex_convention_sweep_unique():
 
 
 def test_d_squared_failure_carries_residual():
-    # the mirrored face table (prec and succ swapped on the mixed rows)
-    mirrored = {
-        (True, True): "mid",
-        (True, False): "succ",
-        (False, True): "prec",
-        (False, False): "star",
-    }
-    gc = build_complex(SIMPLEX_FAMILY, 3, simplex_face(mirrored))
+    # the mirrored pairing (prec and succ swapped on the mixed rows)
+    gc = build_complex(SIMPLEX_FAMILY, 3, simplex_face(MIRRORED_PAIRING))
     assert not gc.d_squared_zero
     failure = gc.d_squared_failure
     assert failure["level"] == 3

@@ -14,24 +14,23 @@ from fractions import Fraction
 
 import pytest
 
-from trioperad.cells import parse_subset_cell
-from trioperad.complexes import SIMPLEX_FACE_TABLE, collapse_vertex, simplex_face_product
+from trioperad.cells import cell_of_key, parse_subset_cell
+from trioperad.complexes import MIRRORED_PAIRING, PAIRING, collapse_vertex, simplex_face
+from trioperad.dendriform import DEND_OPS
 from trioperad.linear import LinComb
-from trioperad.trialgebra import (
-    boundary,
-    gamma,
-    left_cell,
-    mid_cell,
-    right_cell,
-    tri_left,
-    tri_mid,
-    tri_right,
-)
+from trioperad.trialgebra import KEY_OPS, boundary, gamma, tri_left, tri_mid, tri_right
 
-# the pinned table, and one whose four rows are all distinct
+# the simplex face products by membership of i, i+1 in the coefficient, as
+# literal tables (all four rows distinct), under each pairing
 FACE_TABLES = [
-    SIMPLEX_FACE_TABLE,
-    {(a, b): f"{a}/{b}" for a in (False, True) for b in (False, True)},
+    (
+        PAIRING,
+        {(True, True): "mid", (True, False): "prec", (False, True): "succ", (False, False): "star"},
+    ),
+    (
+        MIRRORED_PAIRING,
+        {(True, True): "mid", (True, False): "succ", (False, True): "prec", (False, False): "star"},
+    ),
 ]
 
 
@@ -110,15 +109,16 @@ def test_gamma_matches_reference():
 
 
 @pytest.mark.parametrize(
-    "op, ref", [(left_cell, ref_left), (right_cell, ref_right), (mid_cell, ref_mid)]
+    "name, ref", [("left", ref_left), ("right", ref_right), ("mid", ref_mid)]
 )
-def test_products_match_reference(op, ref):
+def test_products_match_reference(name, ref):
+    op = KEY_OPS[name]
     cases = 0
     for p in range(1, 8):
         for q in range(1, 9 - p):
             for x in ref_cells(p):
                 for y in ref_cells(q):
-                    got = op(mask_cell(x), mask_cell(y))
+                    got = cell_of_key(op(mask_cell(x).key, mask_cell(y).key))
                     assert got.literal() == ref_literal(ref(x, y)), (x, y)
                     cases += 1
     assert cases == sum(
@@ -127,6 +127,7 @@ def test_products_match_reference(op, ref):
 
 
 def test_boundary_and_faces_match_reference():
+    faces = [(simplex_face(pairing), table) for pairing, table in FACE_TABLES]
     cases = 0
     for n in range(1, 8):
         for x in ref_cells(n):
@@ -137,10 +138,9 @@ def test_boundary_and_faces_match_reference():
             for i in range(1, n):
                 low = collapse_vertex(cell, i)
                 assert low.literal() == ref_literal(ref_collapse_vertex(x, i)), (x, i)
-                for table in FACE_TABLES:
-                    assert simplex_face_product(i, cell, table) == ref_face_product(
-                        i, x, table
-                    ), (x, i)
+                for face, table in faces:
+                    op = face(cell, {})[i - 1][1]
+                    assert op is DEND_OPS[ref_face_product(i, x, table)], (x, i)
             cases += 1
     assert cases == sum(2**n - 1 for n in range(1, 8))
 

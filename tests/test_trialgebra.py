@@ -10,6 +10,7 @@ from trioperad.cells import parse_subset_cell as cell
 from trioperad.linear import LinComb
 from trioperad.relations import relation_statement
 from trioperad.trialgebra import (
+    KEY_OPS,
     OPERAD_UNIT,
     TRI_OPS,
     TRIALGEBRA_RELATIONS,
@@ -19,9 +20,6 @@ from trioperad.trialgebra import (
     check_trialgebra_relations,
     dg_terms,
     gamma,
-    left_cell,
-    mid_cell,
-    right_cell,
     tri_left,
     tri_mid,
     tri_right,
@@ -74,17 +72,17 @@ def test_operad_axioms_small():
 
 def test_cell_products_on_generators():
     x = cell("{1}@1")
-    assert left_cell(x, x) == cell("{1}@2")
-    assert right_cell(x, x) == cell("{2}@2")
-    assert mid_cell(x, x) == cell("{1,2}@2")
+    assert TRI_OPS["left"](x, x) == LinComb.single(cell("{1}@2"))
+    assert TRI_OPS["right"](x, x) == LinComb.single(cell("{2}@2"))
+    assert TRI_OPS["mid"](x, x) == LinComb.single(cell("{1,2}@2"))
 
 
 def test_cell_products_general():
     x = cell("{1,2}@2")
     y = cell("{2}@3")
-    assert left_cell(x, y) == cell("{1,2}@5")
-    assert right_cell(x, y) == cell("{4}@5")
-    assert mid_cell(x, y) == cell("{1,2,4}@5")
+    assert TRI_OPS["left"](x, y) == LinComb.single(cell("{1,2}@5"))
+    assert TRI_OPS["right"](x, y) == LinComb.single(cell("{4}@5"))
+    assert TRI_OPS["mid"](x, y) == LinComb.single(cell("{1,2,4}@5"))
 
 
 def test_left_left_equals_left_right_pinned():
@@ -111,9 +109,8 @@ def test_tri_ops_bilinear():
     x = cell("{1}@1")
     u = LinComb([(cell("{1}@2"), 2), (cell("{2}@2"), -1)])
     out = TRI_OPS["mid"](u, LinComb.single(x))
-    assert out == LinComb(
-        [(mid_cell(cell("{1}@2"), x), 2), (mid_cell(cell("{2}@2"), x), -1)]
-    )
+    # term by term, through the product on keys
+    assert out == LinComb((cell_of_key(KEY_OPS["mid"](c.key, x.key)), k) for c, k in u)
 
 
 # --------------------------------------------------------------- boundary
@@ -151,7 +148,7 @@ def test_boundary_lowers_degree_by_one():
 def test_dg_left_rule_pinned_example():
     # d(x left y) = dx left y on x={1,2}@2, y={1}@1: both sides {2}@3 - {1}@3
     x, y = cell("{1,2}@2"), cell("{1}@1")
-    lhs = boundary(left_cell(x, y))
+    lhs = boundary(TRI_OPS["left"](x, y))
     rhs = TRI_OPS["left"](boundary(x), LinComb.single(y))
     want = LinComb([(cell("{2}@3"), 1), (cell("{1}@3"), -1)])
     assert lhs == rhs == want
