@@ -23,6 +23,7 @@ import json
 import os
 import re
 import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import islice
 from operator import itemgetter
@@ -63,13 +64,6 @@ def _report(payload: dict) -> int:
     """Print a checker's report; exit 0 iff it passed."""
     _emit_json(payload)
     return 0 if payload["passed"] else 1
-
-
-def _degree_counts(items) -> dict[int, int]:
-    by_degree: dict[int, int] = {}
-    for c in items:
-        by_degree[c.degree] = by_degree.get(c.degree, 0) + 1
-    return by_degree
 
 
 # The most cells `cells` enumerates, the most terms `dend power` sums and
@@ -175,7 +169,7 @@ def _cmd_cells(args) -> int:
         "family": args.family,
         "arity": args.arity,
         "count": len(items),
-        "by_degree": _degree_counts(items),
+        "by_degree": Counter(c.degree for c in items),
         "cells": [c.literal() for c in items],
     }
     if args.format == "json":
@@ -348,9 +342,9 @@ def _dimensions_report() -> dict:
     def matches(family: str, series, top: int) -> bool:
         fs = series(top)
         for n in range(1, top + 1):
-            by_degree = _degree_counts(_cells_for(family, n))
+            by_degree = Counter(c.degree for c in _cells_for(family, n))
             top_degree = max(by_degree, default=0)
-            poly = TPoly([by_degree.get(d, 0) for d in range(top_degree + 1)])
+            poly = TPoly([by_degree[d] for d in range(top_degree + 1)])
             if fs.coeffs[n] != poly * (-1) ** n:
                 return False
         return True

@@ -18,6 +18,10 @@ equation, (1 + (2+t)x) f + (1+t) q(f) + x = 0, and differ only in q(f):
 
 f_delta and f_stasheff are mutually inverse under composition; f_cube is
 its own compositional inverse.
+
+Products of series go through one convolution, ``_product_coeff`` (for
+x f^2 above and for each power of g), and ``compose`` and ``invert`` share
+one online power routine, ``_power_sums`` (Brent and Kung 1978).
 """
 
 from __future__ import annotations
@@ -162,9 +166,8 @@ class TSeries:
     def compose(self, g: "TSeries") -> "TSeries":
         """self(g(x)); g must have no constant term.
 
-        Sums f_k g^k over the truncated powers of g, each computed once
-        from the previous one; g^k starts at x^k, so the product
-        g^(k-1) * g only touches the coefficients that can survive.
+        [x^m] self(g) = f_1 g_m + sum_{k>=2} f_k [x^m] g^k, the sums
+        taken from ``_power_sums``.
         """
         if self.order != g.order:
             raise ValueError("truncation orders differ")
@@ -172,14 +175,9 @@ class TSeries:
             raise ValueError("composition needs a series with zero constant term")
         n = self.order
         f, graw = self._raw(), g._raw()
-        out = [list(f[0])] + [[] for _ in range(n)]
-        power = graw
-        for k in range(1, n + 1):
-            if k > 1:
-                power = _series_mul(power, graw, n)
-            if f[k]:
-                for m in range(k, n + 1):
-                    _addmul(out[m], f[k], power[m])
+        out = [f[0], []] + list(_power_sums(f, graw, n))
+        for m in range(1, n + 1):
+            _addmul(out[m], f[1], graw[m])
         return TSeries._from_raw(n, out)
 
     def invert(self) -> "TSeries":
@@ -187,10 +185,9 @@ class TSeries:
         coefficient of 1 or -1, each its own inverse, so the inverse has
         integer coefficients too.
 
-        Solves self(g) = x one coefficient at a time while building the
-        powers of g alongside (the compose above, run online): [x^m] g^k
-        for k >= 2 needs only g_1..g_(m-1), and
-        [x^m] self(g) = c1 g_m + sum_{k>=2} f_k [x^m] g^k = 0 for m >= 2.
+        Solves self(g) = x one coefficient at a time: for m >= 2,
+        [x^m] self(g) = c1 g_m + sum_{k>=2} f_k [x^m] g^k = 0, and
+        ``_power_sums`` gives the sum from g_1..g_(m-1) alone.
         """
         if self.order < 1:
             raise ValueError("compositional inverse needs order >= 1")
@@ -200,19 +197,8 @@ class TSeries:
         if c1 not in ((1,), (-1,)):
             raise ValueError("compositional inverse needs a linear coefficient of 1 or -1")
         n = self.order
-        f = self._raw()
         g = [(), c1] + [()] * (n - 1)
-        # powers[k][m] = [x^m] g^k; powers[1] is g itself, filled as it grows
-        powers = [None, g] + [[()] * (n + 1) for _ in range(n - 1)]
-        for m in range(2, n + 1):
-            acc: list = []
-            for k in range(2, m + 1):
-                prev = powers[k - 1]
-                pk: list = []
-                for j in range(1, m - k + 2):
-                    _addmul(pk, g[j], prev[m - j])
-                powers[k][m] = tuple(_strip(pk))
-                _addmul(acc, f[k], powers[k][m])
+        for m, acc in enumerate(_power_sums(self._raw(), g, n), 2):
             # g_m = -acc / c1, and c1 is its own inverse
             g[m] = tuple(_strip([-c1[0] * c for c in acc]))
         return TSeries._from_raw(n, g)
@@ -229,14 +215,30 @@ class TSeries:
     __repr__ = __str__
 
 
-def _series_mul(a: list, b: list, order: int) -> list:
-    """Truncated product of two raw series (lists of raw TPoly coefficients)."""
-    out: list = [[] for _ in range(order + 1)]
-    for i, ai in enumerate(a):
-        if ai:
-            for j in range(order + 1 - i):
-                _addmul(out[i + j], ai, b[j])
-    return [tuple(_strip(c)) for c in out]
+def _product_coeff(a: list, b: list, m: int, k: int) -> list:
+    """[x^m] a*b on raw series, when a starts at x^1 and b at x^(k-1)."""
+    acc: list = []
+    for j in range(1, m - k + 2):
+        _addmul(acc, a[j], b[m - j])
+    return acc
+
+
+def _power_sums(f: list, g: list, n: int):
+    """Yield sum_{k>=2} f_k [x^m] g^k for m = 2..n in turn, on raw series.
+
+    The powers are built online: [x^m] g^k for 2 <= k <= m is set from
+    g_1..g_(m-1) alone, so a caller may fill in g_m after reading the
+    m-th sum.  g must have no constant term.
+    """
+    # powers[k - 1][m] = [x^m] g^k; g^k starts at x^k
+    powers = [g] + [[()] * (n + 1) for _ in range(n - 1)]
+    for m in range(2, n + 1):
+        acc: list = []
+        for k in range(2, m + 1):
+            pk = tuple(_strip(_product_coeff(g, powers[k - 2], m, k)))
+            powers[k - 1][m] = pk
+            _addmul(acc, f[k], pk)
+        yield acc
 
 
 # =====================================================================
@@ -261,14 +263,6 @@ def _counting_series(order: int, quadratic) -> TSeries:
     return TSeries._from_raw(order, f)
 
 
-def _stasheff_square(f: list, n: int) -> list:
-    """[x^n] x f^2 = sum_{i+j=n-1} f_i f_j; f_0 = 0 drops the end terms."""
-    conv: list = []
-    for i in range(1, n - 1):
-        _addmul(conv, f[i], f[n - 1 - i])
-    return conv
-
-
 def f_delta(order: int) -> TSeries:
     """-x / ((1+x)(1+(1+t)x)); coefficient of x^n is (-1)^n ((1+t)^n-1)/t."""
     return _counting_series(order, lambda f, n: f[n - 2] if n > 1 else ())
@@ -281,7 +275,7 @@ def f_cube(order: int) -> TSeries:
 
 def f_stasheff(order: int) -> TSeries:
     """The root with f(0) = 0 of (1+t) x f^2 + (1+(2+t)x) f + x = 0."""
-    return _counting_series(order, _stasheff_square)
+    return _counting_series(order, lambda f, n: _product_coeff(f, f, n - 1, 2))
 
 
 def catalan_numbers(n: int) -> list[int]:
@@ -324,6 +318,7 @@ def series_identities_report(order: int = 12) -> dict:
     # t=1 it counts all its cells, all planar trees with n+1 leaves
     catalan = catalan_numbers(order)
     super_catalan = super_catalan_numbers(order)
+    at_t1 = fk.evaluate_t(1)
 
     checks = [
         ("delta_closed_form", all(
@@ -341,10 +336,10 @@ def series_identities_report(order: int = 12) -> dict:
             abs(v) for v in fk.evaluate_t(0)[1:]
         ] == catalan),
         ("stasheff_at_t1_super_catalan", [
-            abs(v) for v in fk.evaluate_t(1)[1:]
+            abs(v) for v in at_t1[1:]
         ] == super_catalan),
         ("stasheff_signs_alternate", all(
-            fk.evaluate_t(1)[n] * (-1) ** n > 0 for n in range(1, order + 1)
+            at_t1[n] * (-1) ** n > 0 for n in range(1, order + 1)
         )),
     ]
     return {

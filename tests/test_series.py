@@ -1,6 +1,8 @@
 """Generating series over Q[t]: closed forms and compositional identities."""
 
 from fractions import Fraction
+from itertools import zip_longest
+from random import Random
 
 import pytest
 
@@ -77,6 +79,80 @@ def test_tseries_compose_and_invert():
     assert h.compose(g) == TSeries.x(order)
     signs = [h.coeffs[n].evaluate(Fraction(0)) for n in range(1, order + 1)]
     assert signs == [(-1) ** (n - 1) for n in range(1, order + 1)]
+
+
+def _poly_add(a, b):
+    return [x + y for x, y in zip_longest(a, b, fillvalue=0)]
+
+
+def _poly_mul(a, b):
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return out
+
+
+def _naive_compose(f, g):
+    """Reference f(g): sum_k f_k g^k, each g^k the schoolbook truncated
+    product of g^(k-1) and g, on coefficient tuples."""
+    n = f.order
+    fr, gr = [c.coeffs for c in f.coeffs], [c.coeffs for c in g.coeffs]
+    total, power = [[] for _ in range(n + 1)], [[1]] + [[] for _ in range(n)]
+    for k in range(n + 1):
+        for m in range(n + 1):
+            total[m] = _poly_add(total[m], _poly_mul(fr[k], power[m]))
+        product = [[] for _ in range(n + 1)]
+        for i in range(n + 1):
+            for j in range(n + 1 - i):
+                product[i + j] = _poly_add(product[i + j], _poly_mul(power[i], gr[j]))
+        power = product
+    return TSeries(n, [TPoly(c) for c in total])
+
+
+def _random_series(rng, order, start, linear=None):
+    """Coefficients of degree up to 2 in t, about a third of them zero,
+    below x^start all zero; linear, if given, fixes x^1."""
+    cs = [
+        TPoly([rng.randint(-3, 3) for _ in range(rng.randint(0, 3))])
+        if n >= start and rng.random() > 0.3 else TPoly()
+        for n in range(order + 1)
+    ]
+    if linear is not None:
+        cs[1] = TPoly.const(linear)
+    return TSeries(order, cs)
+
+
+def _seeded_cases():
+    """(f, g, h) per seed and order 0..12: f with a constant term (nonzero
+    on even seeds), g with none, h with none and a linear coefficient of
+    +-1 (None at order 0, where invert is undefined)."""
+    for seed in range(4):
+        rng = Random(seed)
+        for order in range(13):
+            f = _random_series(rng, order, 0)
+            if seed % 2 == 0:
+                f = TSeries(order, (TPoly((rng.choice((-2, 1, 3)), 1)),) + f.coeffs[1:])
+            g = _random_series(rng, order, 1)
+            h = _random_series(rng, order, 1, rng.choice((1, -1))) if order else None
+            yield f, g, h
+
+
+def test_compose_and_invert_match_naive_reference():
+    # every series the certificate composes has f_0 = 0, and compose and
+    # invert share their power sums; a schoolbook reference checks both
+    saw_constant = saw_zero_f = saw_zero_g = False
+    for f, g, h in _seeded_cases():
+        saw_constant |= not f.coeffs[0].is_zero()
+        saw_zero_f |= any(c.is_zero() for c in f.coeffs[1:])
+        saw_zero_g |= any(c.is_zero() for c in g.coeffs[1:])
+        assert f.compose(g) == _naive_compose(f, g), (f, g)
+        if h is not None:
+            inv = h.invert()
+            assert _naive_compose(h, inv) == TSeries.x(h.order), h
+            assert _naive_compose(inv, h) == TSeries.x(h.order), h
+            assert h.compose(inv) == TSeries.x(h.order), h
+    assert saw_constant and saw_zero_f and saw_zero_g
 
 
 def test_tseries_invert_order_zero():
