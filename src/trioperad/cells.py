@@ -27,7 +27,6 @@ parsers in this module.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
@@ -39,11 +38,24 @@ from .series import super_catalan_numbers
 # =====================================================================
 
 
-# stores the two fields of a SubsetCell, whose own __setattr__ refuses
+# stores the fields of an _Immutable cell, whose own __setattr__ refuses
 _set_field = object.__setattr__
 
 
-class SubsetCell:
+class _Immutable:
+    """Base of the slotted cells: their constructors set the fields
+    through ``_set_field``, and nothing can set or delete one after."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
+
+class SubsetCell(_Immutable):
     """Nonempty subset X of {1..arity}, a cell of the (arity-1)-simplex,
     stored as the mask with bit e-1 set iff e is in X.  Only the range is
     checked here; ``parse_subset_cell`` validates literals.  Immutable:
@@ -60,12 +72,6 @@ class SubsetCell:
             raise ValueError(f"mask must select a nonempty subset of 1..{arity}")
         _set_field(self, "arity", arity)
         _set_field(self, "mask", mask)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"SubsetCell is immutable: cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"SubsetCell is immutable: cannot delete {name!r}")
 
     def __eq__(self, other):
         if other.__class__ is not SubsetCell:
@@ -455,15 +461,30 @@ def remove_leaf(t: PlanarTree, i: int) -> PlanarTree:
 # =====================================================================
 
 
-@dataclass(frozen=True)
-class CubeCell:
-    """Word over {0,1,*}; words of length n-1 are the cells of an (n-1)-cube."""
+class CubeCell(_Immutable):
+    """Word over {0,1,*}; words of length n-1 are the cells of an (n-1)-cube.
+    Immutable: equal words are equal cells and hash equal."""
 
-    word: str
+    __slots__ = ("word",)
 
-    def __post_init__(self) -> None:
-        if any(ch not in "01*" for ch in self.word):
-            raise ValueError(f"cube word may only contain 0, 1, * (got {self.word!r})")
+    def __init__(self, word: str) -> None:
+        if any(ch not in "01*" for ch in word):
+            raise ValueError(f"cube word may only contain 0, 1, * (got {word!r})")
+        _set_field(self, "word", word)
+
+    def __eq__(self, other):
+        if other.__class__ is not CubeCell:
+            return NotImplemented
+        return self.word == other.word
+
+    def __hash__(self) -> int:
+        return hash(self.word)
+
+    def __repr__(self) -> str:
+        return f"CubeCell(word={self.word!r})"
+
+    def __reduce__(self):
+        return (CubeCell, (self.word,))
 
     @property
     def arity(self) -> int:

@@ -24,7 +24,6 @@ import os
 import re
 import sys
 from collections import Counter
-from fractions import Fraction
 from itertools import islice
 from operator import itemgetter
 
@@ -291,6 +290,8 @@ def _cmd_series(args) -> int:
                 f"digits, the most --order {args.order} allows (T_EVAL_DIGITS_CAP = "
                 f"{T_EVAL_DIGITS_CAP} over the order); {_T_EVAL_GRAMMAR}"
             )
+        from fractions import Fraction
+
         try:
             q = Fraction(args.t_eval)
         except (ValueError, ZeroDivisionError):

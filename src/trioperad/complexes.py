@@ -71,8 +71,7 @@ counts, without building them.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cache
 
 from .cells import (
@@ -154,20 +153,14 @@ def tree_face(leaf_offset: int = TREE_FACE_LEAF_OFFSET, pairing=PAIRING):
     return face
 
 
-@dataclass(frozen=True)
-class _Family:
+class _Family(namedtuple("_Family", "basis cells dual face products factor_keys")):
     """One complex family: ``basis(n)`` lists its coefficients of arity
     n, ``cells.cell_count(cells, n)`` counts them, ``dual`` gives the
     factors, ``face`` is the pinned face convention, and ``products``
     maps each product a face may return to its name and its basis form,
     which reads the factors as ``factor_keys`` lists them."""
 
-    basis: Callable[[int], list]
-    cells: str
-    dual: str
-    face: Callable
-    products: dict
-    factor_keys: Callable[[list], list]
+    __slots__ = ()
 
 
 # each basis reads complexes.enumerate_* at call time, so wrappers see it
@@ -207,7 +200,6 @@ def face_map(i: int, coeff, factors: tuple, face) -> LinComb:
     )
 
 
-@dataclass
 class GradedComplex:
     """Boundary maps of one weight-graded complex, on integer ids.
 
@@ -222,14 +214,14 @@ class GradedComplex:
     integer coefficient} row.
     """
 
-    family: str
-    weight: int
-    sizes: dict[int, int] = field(default_factory=dict)
-    offsets: dict[int, dict[tuple, int]] = field(default_factory=dict)
-    coeffs: dict[int, list] = field(default_factory=dict)
-    factors: dict[int, list] = field(default_factory=dict)
-    diff: dict[int, list[dict[int, int]]] = field(default_factory=dict)
-    d_squared_failure: dict | None = None
+    def __init__(self, family: str, weight: int) -> None:
+        self.family, self.weight = family, weight
+        self.sizes: dict[int, int] = {}
+        self.offsets: dict[int, dict[tuple, int]] = {}
+        self.coeffs: dict[int, list] = {}
+        self.factors: dict[int, list] = {}
+        self.diff: dict[int, list[dict[int, int]]] = {}
+        self.d_squared_failure: dict | None = None
 
     @property
     def d_squared_zero(self) -> bool:

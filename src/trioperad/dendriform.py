@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import replace
 from functools import lru_cache
 from itertools import chain, product, starmap
 
@@ -223,7 +222,7 @@ DENDRIFORM_SCHEME = Scheme(
 )
 
 # associativity of star is the single row (star, star, star, star)
-STAR_SCHEME = replace(DENDRIFORM_SCHEME, rows=(("star",) * 4,))
+STAR_SCHEME = DENDRIFORM_SCHEME._replace(rows=(("star",) * 4,))
 
 
 def check_dendriform_relations(max_leaves: int) -> dict:

@@ -18,9 +18,7 @@ emits the full 11 x 7 pairing matrix as the certificate.
 
 from __future__ import annotations
 
-import hashlib
 import json
-from dataclasses import replace
 
 from .dendriform import DENDRIFORM_SCHEME
 from .linear import rank
@@ -79,7 +77,7 @@ def negative_control_scheme() -> Scheme:
     rows = list(TRIALGEBRA_SCHEME.rows)
     a, b, c, _ = rows[7]
     rows[7] = (a, b, c, "left")
-    return replace(TRIALGEBRA_SCHEME, rows=tuple(rows))
+    return TRIALGEBRA_SCHEME._replace(rows=tuple(rows))
 
 
 # the pairing weight of each of the 18 coordinates: +1 in slot 1, -1 in slot 2
@@ -134,8 +132,11 @@ def _associative_diagonal_report(tri_vecs, dend_vecs) -> dict:
 def certify_duality() -> dict:
     """Full duality certificate under the pinned pairing; see the module
     docstring.  Includes a negative control: perturbing one relation must
-    break orthogonality.
+    break orthogonality.  ``hashlib`` is imported here, for the matrix's
+    sha256, so that importing the package does not load it.
     """
+    import hashlib
+
     tri_vecs = trialgebra_relation_vectors()
     dend_vecs = dendriform_relation_vectors()
     rank_tri = rank(tri_vecs)

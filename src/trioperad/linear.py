@@ -3,10 +3,11 @@
 Every coefficient the operads produce is an integer, and ``LinComb``
 stores coefficients as given, so products, boundaries and relation
 checks run on plain ints.  ``Fraction`` enters only at the edge, through
-a non-integer user scalar.  ``LinComb._of(d)`` is the internal
-constructor of the product hot paths: it takes ownership of a dict with
-no zero coefficients and wraps it without a copy, so a product adds all
-its terms into one dict (``_add_into``) and builds one ``LinComb``.
+a non-integer user scalar, which alone imports ``fractions``.
+``LinComb._of(d)`` is the internal constructor of the product hot paths:
+it takes ownership of a dict with no zero coefficients and wraps it
+without a copy, so a product adds all its terms into one dict
+(``_add_into``) and builds one ``LinComb``.
 
 ``rank`` is the one elimination engine, a fraction-free row reduction:
 it reduces each row in turn against the rows kept under their highest
@@ -20,7 +21,6 @@ uses to clear the rows of the next boundary matrix down.
 from __future__ import annotations
 
 from collections.abc import Hashable, Iterable, Mapping
-from fractions import Fraction
 from math import gcd
 
 
@@ -89,10 +89,13 @@ class LinComb:
     def __rmul__(self, scalar) -> "LinComb":
         # the user-scalar edge: ints stay exact ints, anything else
         # (0.5 included) becomes the exact Fraction it denotes
-        s = scalar if isinstance(scalar, int) else Fraction(scalar)
-        if not s:
+        if not isinstance(scalar, int):
+            from fractions import Fraction
+
+            scalar = Fraction(scalar)
+        if not scalar:
             return LinComb()
-        return LinComb._of({b: s * c for b, c in self._terms.items()})
+        return LinComb._of({b: scalar * c for b, c in self._terms.items()})
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, LinComb) and self._terms == other._terms

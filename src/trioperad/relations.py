@@ -11,14 +11,18 @@ at a bound without running it.
 from __future__ import annotations
 
 import operator
-from collections.abc import Callable, Iterable
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .cells import cell_count
 
 
-@dataclass(frozen=True)
-class Scheme:
+class Scheme(
+    namedtuple(
+        "Scheme",
+        "generators ops rows sum_symbol basis min_size render same",
+        defaults=(str, operator.eq),
+    )
+):
     """One side of the dual pair.  ``generators`` are in duality order;
     ``ops`` maps every symbol of ``rows`` to its product on basis elements
     (the outer products must accept the inner results); ``sum_symbol``
@@ -27,14 +31,7 @@ class Scheme:
     or a product for a counterexample; ``same`` compares two products.
     """
 
-    generators: tuple[str, str, str]
-    ops: dict[str, Callable]
-    rows: tuple[tuple[str, str, str, str], ...]
-    sum_symbol: str | None
-    basis: Callable[[int], Iterable]
-    min_size: int
-    render: Callable[[object], str] = str
-    same: Callable[[object, object], bool] = operator.eq
+    __slots__ = ()
 
 
 def relation_statement(rel: tuple[str, str, str, str]) -> str:

@@ -5,8 +5,8 @@ x whose coefficients are TPolys.  Everything is exact.  Every coefficient
 of the three cell-counting series is an integer, and building them,
 composing them and inverting them (``invert`` takes a linear coefficient
 of +-1 only) runs on integers alone.  ``Fraction`` appears only at the
-API edge: ``TPoly.evaluate`` at a rational t (the ``--t-eval`` option)
-and the scalar ``TPoly.__mul__`` by a rational.
+API edge: ``TPoly.evaluate`` at a rational t (``--t-eval``), which only
+then imports ``fractions``, and the scalar ``TPoly.__mul__`` by a rational.
 
 The three cell-counting series are the roots with f(0) = 0 of one
 equation, (1 + (2+t)x) f + (1+t) q(f) + x = 0, and differ only in q(f):
@@ -26,8 +26,8 @@ one online power routine, ``_power_sums`` (Brent and Kung 1978).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
+from numbers import Rational
 
 
 def _strip(cs: list) -> list:
@@ -77,7 +77,7 @@ class TPoly:
 
     def __mul__(self, other) -> "TPoly":
         """The scalar multiple by an int or a Fraction."""
-        if not isinstance(other, (int, Fraction)):
+        if not isinstance(other, Rational):
             return NotImplemented
         return TPoly(tuple(c * other for c in self.coeffs))
 
@@ -87,11 +87,12 @@ class TPoly:
         """The value at t = q, exact: an int when the value is integral, a
         Fraction otherwise."""
         if not isinstance(q, int):
+            from fractions import Fraction
+
             q = Fraction(q)
         val = 0
         for c in reversed(self.coeffs):
             val = val * q + c
-        val = Fraction(val)
         return val.numerator if val.denominator == 1 else val
 
     def __eq__(self, other: object) -> bool:

@@ -398,6 +398,25 @@ def test_cube_cell_validation():
         CubeCell("02")
 
 
+def test_cube_cell_equality_hash_repr_and_immutability():
+    c = CubeCell("0*1")
+    assert c == parse_cube_cell("0*1") and hash(c) == hash(CubeCell("0*1"))
+    assert c != CubeCell("0*0") and c != "0*1"
+    assert {c: 1}[CubeCell(word="0*1")] == 1
+    assert len(set(enumerate_cube_cells(3) + enumerate_cube_cells(3))) == 9
+    assert repr(c) == "CubeCell(word='0*1')"
+    with pytest.raises(AttributeError):
+        c.word = "000"
+    with pytest.raises(AttributeError):
+        del c.word
+    with pytest.raises(AttributeError):
+        c.extra = 0
+    assert c.word == "0*1"
+    for rebuild in (copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))):
+        r = rebuild(c)
+        assert type(r) is CubeCell and r == c and hash(r) == hash(c)
+
+
 def test_enumerate_cube_cells():
     assert [c.literal() for c in enumerate_cube_cells(2)] == ["0", "1", "*"]
     for n, want in CUBE_COUNTS.items():

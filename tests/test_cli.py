@@ -1,6 +1,5 @@
 """CLI surface: subcommands, payload shapes, exit codes, error paths."""
 
-import dataclasses
 import hashlib
 import json
 import subprocess
@@ -551,9 +550,7 @@ def test_complex_build_d2_failure_in_payload(capsys, monkeypatch):
     # at weight 3, and the payload names the first failing element
     mirrored = complexes_mod.simplex_face(complexes_mod.MIRRORED_PAIRING)
     pinned = complexes_mod.FAMILIES["simplex"]
-    monkeypatch.setitem(
-        complexes_mod.FAMILIES, "simplex", dataclasses.replace(pinned, face=mirrored)
-    )
+    monkeypatch.setitem(complexes_mod.FAMILIES, "simplex", pinned._replace(face=mirrored))
     code, payload = run_json(
         capsys, ["complex", "build", "--family", "simplex", "--weight", "3", "--report", "d2"]
     )

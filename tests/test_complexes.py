@@ -20,6 +20,7 @@ from trioperad.cells import (
 from trioperad.complexes import (
     FAMILIES,
     LEAF_GENERATORS,
+    GradedComplex,
     MIRRORED_PAIRING,
     PAIRING,
     SIMPLEX_FACE_CANDIDATES,
@@ -435,6 +436,20 @@ def test_build_complex_rejects_bad_input():
         build_complex("octahedron", 2)
     with pytest.raises(ValueError):
         build_complex(SIMPLEX_FAMILY, 0)
+
+
+def test_family_records_are_immutable():
+    with pytest.raises(AttributeError):
+        FAMILIES[SIMPLEX_FAMILY].face = None
+
+
+def test_graded_complex_starts_empty():
+    gc = GradedComplex(family=TREE_FAMILY, weight=3)
+    assert (gc.family, gc.weight) == (TREE_FAMILY, 3)
+    assert gc.sizes == gc.offsets == gc.coeffs == gc.factors == gc.diff == {}
+    assert gc.d_squared_zero and gc.dims() == {}
+    # each complex owns its dicts
+    assert GradedComplex(TREE_FAMILY, 3).sizes is not gc.sizes
 
 
 def test_expected_betti():

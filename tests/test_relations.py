@@ -1,7 +1,6 @@
 """The relation-scheme harness: non-vacuous bounds and negative controls."""
 
 import operator
-from dataclasses import replace
 
 import pytest
 
@@ -36,7 +35,7 @@ def test_schemes_hold_their_frozen_data():
 def test_key_side_compares_with_eq():
     # products on keys are ints, compared with ==; only the tree side,
     # whose sums are multisets in no fixed order, sets its own comparison
-    assert Scheme.same is operator.eq
+    assert Scheme._field_defaults["same"] is operator.eq
     assert TRIALGEBRA_SCHEME.same is operator.eq
     assert DENDRIFORM_SCHEME.same is not operator.eq
 
@@ -204,7 +203,7 @@ def test_harness_rejects_a_perturbed_tree_row():
     for i, row, lhs, rhs in PERTURBED_TREE_ROWS:
         rows = list(DENDRIFORM_SCHEME.rows)
         rows[i] = row
-        scheme = replace(DENDRIFORM_SCHEME, rows=tuple(rows))
+        scheme = DENDRIFORM_SCHEME._replace(rows=tuple(rows))
         entries, _ = check_scheme(scheme, 7)
         ce = _failing_entry(entries, row)
         generator = "(|,|)"
@@ -218,7 +217,7 @@ def _failures(scheme, bound):
 
 
 def _with_op(name, op):
-    return replace(DENDRIFORM_SCHEME, ops={**DENDRIFORM_SCHEME.ops, name: op})
+    return DENDRIFORM_SCHEME._replace(ops={**DENDRIFORM_SCHEME.ops, name: op})
 
 
 def _mid_repeating(x, y):

@@ -67,6 +67,18 @@ def test_tpoly_evaluate():
     assert p.evaluate(Fraction(1, 2)) == Fraction(9, 4)
 
 
+def test_evaluate_at_integer_t_gives_ints():
+    fs = f_stasheff(12)
+    for t in (0, 1, -1):
+        values = fs.evaluate_t(t)
+        assert all(type(v) is int for v in values), t
+    assert values[1:4] == [-1, 1, -1]
+    # a rational t keeps exact Fractions, ints where the value is integral
+    halves = fs.evaluate_t(Fraction(1, 2))
+    assert halves[2] == Fraction(5, 2) and type(halves[2]) is Fraction
+    assert all(type(v) in (int, Fraction) for v in halves)
+
+
 # ----------------------------------------------------------------- TSeries
 
 
