@@ -72,7 +72,7 @@ def _report(payload: dict) -> int:
 CELLS_CAP = 10**6
 
 # The highest `series --order`: the stasheff series grows steeply with the
-# order (about 0.7 s at 100 and 10 s at 200 on a shared 2-vCPU VM).
+# order (about 0.3 s at 100 and 7 s at 200 on a shared 2-vCPU VM).
 SERIES_ORDER_CAP = 100
 
 # The most `series --order` times the digits of `--t-eval`: a value at t

@@ -4,9 +4,10 @@
 x whose coefficients are TPolys.  Everything is exact.  Every coefficient
 of the three cell-counting series is an integer, and building them,
 composing them and inverting them (``invert`` takes a linear coefficient
-of +-1 only) runs on integers alone.  ``Fraction`` appears only at the
-API edge: ``TPoly.evaluate`` at a rational t (``--t-eval``), which only
-then imports ``fractions``, and the scalar ``TPoly.__mul__`` by a rational.
+of +-1 only) runs on integers alone: ``compose`` and ``invert`` take int
+coefficients only.  ``Fraction`` appears only at the API edge:
+``TPoly.evaluate`` at a rational t (``--t-eval``), which only then imports
+``fractions``, and the scalar ``TPoly.__mul__`` by a rational.
 
 The three cell-counting series are the roots with f(0) = 0 of one
 equation, (1 + (2+t)x) f + (1+t) q(f) + x = 0, and differ only in q(f):
@@ -19,34 +20,26 @@ equation, (1 + (2+t)x) f + (1+t) q(f) + x = 0, and differ only in q(f):
 f_delta and f_stasheff are mutually inverse under composition; f_cube is
 its own compositional inverse.
 
-Products of series go through one convolution, ``_product_coeff`` (for
-x f^2 above and for each power of g), and ``compose`` and ``invert`` share
-one online power routine, ``_power_sums`` (Brent and Kung 1978).
+The arithmetic packs each TPoly into its value at t = 2^b (Kronecker
+substitution), so a product of TPolys is one product of ints.  Products of
+series go through one convolution, ``_product_coeff``, and ``compose`` and
+``invert`` share one online power routine, ``_power_sums`` (Brent and Kung
+1978).  b is rigorous: the same routine run on the L1 norms of the inputs,
+every sign made positive, bounds each output's L1 norm, and one bit past
+that bound each output reads back as balanced base-2^b digits.
 """
 
 from __future__ import annotations
 
 from math import comb
 from numbers import Rational
+from operator import mul
 
 
 def _strip(cs: list) -> list:
     while cs and not cs[-1]:
         cs.pop()
     return cs
-
-
-def _addmul(acc: list, a, b) -> None:
-    """acc += a*b on raw coefficient sequences (index = power of t)."""
-    if not a or not b:
-        return
-    need = len(a) + len(b) - 1
-    if len(acc) < need:
-        acc.extend([0] * (need - len(acc)))
-    for i, ai in enumerate(a):
-        if ai:
-            for k, bj in enumerate(b, i):
-                acc[k] += ai * bj
 
 
 class TPoly:
@@ -129,11 +122,7 @@ _ONE = TPoly((1,))
 
 
 class TSeries:
-    """Power series in x, truncated at a fixed order, TPoly coefficients.
-
-    Composition and inversion work on the raw coefficient tuples of the
-    TPolys and wrap the result once.
-    """
+    """Power series in x, truncated at a fixed order, TPoly coefficients."""
 
     __slots__ = ("order", "coeffs")
 
@@ -151,11 +140,18 @@ class TSeries:
         return cls(order, (_ZERO, _ONE))
 
     @classmethod
-    def _from_raw(cls, order: int, rows) -> "TSeries":
-        return cls(order, [TPoly(r) for r in rows])
+    def _unpacked(cls, order: int, values: list, b: int) -> "TSeries":
+        return cls(order, [_unpack(v, b) for v in values])
 
-    def _raw(self) -> list:
-        return [c.coeffs for c in self.coeffs]
+    def _packed(self, b: int) -> list:
+        return [_pack(c.coeffs, b) for c in self.coeffs]
+
+    def _norms(self) -> list:
+        norms = [sum(map(abs, c.coeffs)) for c in self.coeffs]
+        bad = [type(v).__name__ for v in norms if type(v) is not int]
+        if bad:
+            raise TypeError(f"compose and invert: TPoly coefficients must be int, got {bad[0]}")
+        return norms
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -175,11 +171,8 @@ class TSeries:
         if not g.coeffs[0].is_zero():
             raise ValueError("composition needs a series with zero constant term")
         n = self.order
-        f, graw = self._raw(), g._raw()
-        out = [f[0], []] + list(_power_sums(f, graw, n))
-        for m in range(1, n + 1):
-            _addmul(out[m], f[1], graw[m])
-        return TSeries._from_raw(n, out)
+        b = _width(_compose(self._norms(), g._norms(), n))
+        return TSeries._unpacked(n, _compose(self._packed(b), g._packed(b), n), b)
 
     def invert(self) -> "TSeries":
         """Compositional inverse; needs zero constant term and a linear
@@ -194,15 +187,15 @@ class TSeries:
             raise ValueError("compositional inverse needs order >= 1")
         if not self.coeffs[0].is_zero():
             raise ValueError("compositional inverse needs zero constant term")
-        c1 = self.coeffs[1].coeffs
-        if c1 not in ((1,), (-1,)):
+        if self.coeffs[1].coeffs not in ((1,), (-1,)):
             raise ValueError("compositional inverse needs a linear coefficient of 1 or -1")
         n = self.order
-        g = [(), c1] + [()] * (n - 1)
-        for m, acc in enumerate(_power_sums(self._raw(), g, n), 2):
-            # g_m = -acc / c1, and c1 is its own inverse
-            g[m] = tuple(_strip([-c1[0] * c for c in acc]))
-        return TSeries._from_raw(n, g)
+        # the inverse of -x + sum_{k>=2} F_k x^k is M(-x), where
+        # M = x + sum_{k>=2} F_k M^k bounds the L1 norm of each g_m
+        norms = self._norms()
+        norms[1] = -1
+        b = _width(_invert(norms, n))
+        return TSeries._unpacked(n, _invert(self._packed(b), n), b)
 
     def evaluate_t(self, q) -> list:
         return [c.evaluate(q) for c in self.coeffs]
@@ -216,30 +209,69 @@ class TSeries:
     __repr__ = __str__
 
 
-def _product_coeff(a: list, b: list, m: int, k: int) -> list:
-    """[x^m] a*b on raw series, when a starts at x^1 and b at x^(k-1)."""
-    acc: list = []
-    for j in range(1, m - k + 2):
-        _addmul(acc, a[j], b[m - j])
-    return acc
+def _pack(cs: tuple, b: int) -> int:
+    """The value at t = 2^b of the polynomial with coefficients cs."""
+    v = 0
+    for c in reversed(cs):
+        v = (v << b) + c
+    return v
+
+
+def _unpack(v: int, b: int) -> TPoly:
+    """The TPoly whose value at t = 2^b is v, when every coefficient lies
+    in [-2^(b-1), 2^(b-1)): v read as balanced base-2^b digits.  A nonzero
+    coefficient of t^d makes |v| > 2^(bd - 1), which bounds the digits."""
+    half, mask = 1 << (b - 1), (1 << b) - 1
+    cs = []
+    for _ in range(abs(v).bit_length() // b + 1):
+        d = ((v + half) & mask) - half
+        cs.append(d)
+        v = (v - d) >> b
+    return TPoly(cs)
+
+
+def _width(bounds: list) -> int:
+    """One bit past the largest bound: every value within it unpacks."""
+    return max(map(abs, bounds)).bit_length() + 1
+
+
+def _product_coeff(a: list, b: list, m: int, k: int) -> int:
+    """[x^m] a*b, when a starts at x^1 and b at x^(k-1)."""
+    return sum(map(mul, a[1 : m - k + 2], b[m - 1 : k - 2 : -1]))
 
 
 def _power_sums(f: list, g: list, n: int):
-    """Yield sum_{k>=2} f_k [x^m] g^k for m = 2..n in turn, on raw series.
+    """Yield sum_{k>=2} f_k [x^m] g^k for m = 2..n in turn.
 
     The powers are built online: [x^m] g^k for 2 <= k <= m is set from
     g_1..g_(m-1) alone, so a caller may fill in g_m after reading the
     m-th sum.  g must have no constant term.
     """
     # powers[k - 1][m] = [x^m] g^k; g^k starts at x^k
-    powers = [g] + [[()] * (n + 1) for _ in range(n - 1)]
+    powers = [g] + [[0] * (n + 1) for _ in range(n - 1)]
     for m in range(2, n + 1):
-        acc: list = []
+        acc = 0
         for k in range(2, m + 1):
-            pk = tuple(_strip(_product_coeff(g, powers[k - 2], m, k)))
-            powers[k - 1][m] = pk
-            _addmul(acc, f[k], pk)
+            pk = powers[k - 1][m] = _product_coeff(g, powers[k - 2], m, k)
+            acc += f[k] * pk
         yield acc
+
+
+def _compose(f: list, g: list, n: int) -> list:
+    """f(g) up to x^n; g must have no constant term."""
+    out = [f[0]] + [f[1] * gm for gm in g[1:]]
+    for m, acc in enumerate(_power_sums(f, g, n), 2):
+        out[m] += acc
+    return out
+
+
+def _invert(f: list, n: int) -> list:
+    """The inverse of f up to x^n; f_0 = 0 and f_1 = c1 is 1 or -1."""
+    c1 = f[1]
+    g = [0, c1] + [0] * (n - 1)
+    for m, acc in enumerate(_power_sums(f, g, n), 2):
+        g[m] = -c1 * acc
+    return g
 
 
 # =====================================================================
@@ -247,31 +279,37 @@ def _power_sums(f: list, g: list, n: int):
 # =====================================================================
 
 
+def _recurrence(order: int, quadratic, u: int, a: int, c: int) -> list:
+    """f_1 = u and f_n = a f_(n-1) + c [x^n] q(f) for n >= 2, where
+    quadratic(f, n) is [x^n] q(f), read from f_1..f_(n-1)."""
+    f = [0, u] + [0] * (order - 1)
+    for n in range(2, order + 1):
+        f[n] = a * f[n - 1] + c * quadratic(f, n)
+    return f
+
+
 def _counting_series(order: int, quadratic) -> TSeries:
     """The root with f(0) = 0 of (1 + (2+t)x) f + (1+t) q(f) + x = 0.
 
     Read at x^n this is the integer recurrence
     f_n = -[n=1] - (2+t) f_(n-1) - (1+t) [x^n] q(f),
-    where quadratic(f, n) is the raw [x^n] q(f), read from f_1..f_(n-1);
-    so no square root and no division is needed.
+    so no square root and no division is needed.  It runs at t = 2^b,
+    after one run with -1, -(2+t) and -(1+t) replaced by their L1 norms
+    1, 3 and 2, which bounds the L1 norm of every f_n.
     """
-    f: list = [()] * (order + 1)
-    for n in range(1, order + 1):
-        acc: list = [-1] if n == 1 else []
-        _addmul(acc, (-2, -1), f[n - 1])
-        _addmul(acc, (-1, -1), quadratic(f, n))
-        f[n] = tuple(_strip(acc))
-    return TSeries._from_raw(order, f)
+    b = _width(_recurrence(order, quadratic, 1, 3, 2))
+    r = 1 << b
+    return TSeries._unpacked(order, _recurrence(order, quadratic, -1, -2 - r, -1 - r), b)
 
 
 def f_delta(order: int) -> TSeries:
     """-x / ((1+x)(1+(1+t)x)); coefficient of x^n is (-1)^n ((1+t)^n-1)/t."""
-    return _counting_series(order, lambda f, n: f[n - 2] if n > 1 else ())
+    return _counting_series(order, lambda f, n: f[n - 2])
 
 
 def f_cube(order: int) -> TSeries:
     """-x / (1+(2+t)x); coefficient of x^n is (-1)^n (2+t)^(n-1)."""
-    return _counting_series(order, lambda f, n: ())
+    return _counting_series(order, lambda f, n: 0)
 
 
 def f_stasheff(order: int) -> TSeries:

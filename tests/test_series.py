@@ -122,11 +122,12 @@ def _naive_compose(f, g):
     return TSeries(n, [TPoly(c) for c in total])
 
 
-def _random_series(rng, order, start, linear=None):
-    """Coefficients of degree up to 2 in t, about a third of them zero,
-    below x^start all zero; linear, if given, fixes x^1."""
+def _random_series(rng, order, start, linear=None, low=-3, high=3, degree=2):
+    """Coefficients of degree up to degree in t, each entry drawn from
+    low..high, about a third of them zero, below x^start all zero;
+    linear, if given, fixes x^1."""
     cs = [
-        TPoly([rng.randint(-3, 3) for _ in range(rng.randint(0, 3))])
+        TPoly([rng.randint(low, high) for _ in range(rng.randint(0, degree + 1))])
         if n >= start and rng.random() > 0.3 else TPoly()
         for n in range(order + 1)
     ]
@@ -136,9 +137,14 @@ def _random_series(rng, order, start, linear=None):
 
 
 def _seeded_cases():
-    """(f, g, h) per seed and order 0..12: f with a constant term (nonzero
-    on even seeds), g with none, h with none and a linear coefficient of
-    +-1 (None at order 0, where invert is undefined)."""
+    """(f, g, h) per seed and order: f with a constant term (nonzero on
+    even seeds), g with none, h with none and a linear coefficient of
+    +-1 (None at order 0, where invert is undefined).  Three kinds: small
+    entries at orders 0..12; entries up to +-2^90 of degree up to 4 in t,
+    so that the packing width spans several machine words; and entries
+    all positive (h's linear coefficient -1), so that nothing cancels and
+    an output reaches the majorant that sets the width; then one fixed
+    case."""
     for seed in range(4):
         rng = Random(seed)
         for order in range(13):
@@ -148,6 +154,28 @@ def _seeded_cases():
             g = _random_series(rng, order, 1)
             h = _random_series(rng, order, 1, rng.choice((1, -1))) if order else None
             yield f, g, h
+    big = {"low": -(2**90), "high": 2**90, "degree": 4}
+    for seed in range(4, 6):
+        rng = Random(seed)
+        for order in range(9):
+            f = _random_series(rng, order, 0, **big)
+            g = _random_series(rng, order, 1, **big)
+            h = _random_series(rng, order, 1, rng.choice((1, -1)), **big) if order else None
+            yield f, g, h
+    for seed in range(6, 10):
+        rng = Random(seed)
+        # constant entries on even seeds: each output is then its own
+        # majorant, so the largest one needs every bit of the width
+        positive = {"low": 1, "high": 2**rng.randint(1, 40), "degree": 2 * (seed % 2)}
+        for order in range(11):
+            f = _random_series(rng, order, 0, **positive)
+            g = _random_series(rng, order, 1, **positive)
+            h = _random_series(rng, order, 1, -1, **positive) if order else None
+            yield f, g, h
+    # invert's majorant has linear coefficient -1: its inverse's x^3
+    # coefficient here is -4, and the same norms with +1 would bound it by 1
+    h = TSeries(3, (0, -1, 1, 2))
+    yield h, h, h
 
 
 def test_compose_and_invert_match_naive_reference():
@@ -165,6 +193,18 @@ def test_compose_and_invert_match_naive_reference():
             assert _naive_compose(inv, h) == TSeries.x(h.order), h
             assert h.compose(inv) == TSeries.x(h.order), h
     assert saw_constant and saw_zero_f and saw_zero_g
+
+
+def test_compose_and_invert_take_int_coefficients_only():
+    # a rational scalar makes a Fraction coefficient, which has no value
+    # at t = 2^b to pack
+    half = TSeries(4, (0, 1, TPoly((Fraction(1, 2),))))
+    with pytest.raises(TypeError, match="must be int"):
+        half.compose(half)
+    with pytest.raises(TypeError, match="must be int"):
+        TSeries.x(4).compose(half)
+    with pytest.raises(TypeError, match="must be int"):
+        half.invert()
 
 
 def test_tseries_invert_order_zero():
@@ -238,6 +278,15 @@ def test_series_match_enumerated_cells(maker, cells_of_arity):
         for cell in cells_of_arity(n):
             counts[cell.degree] += 1
         assert fs.coeffs[n] == TPoly(counts) * (-1) ** n, n
+
+
+def test_every_counting_series_at_t_minus_one_is_minus_x_over_one_plus_x():
+    # the Euler characteristic of each cell complex: sum_d (-1)^d (cells
+    # of dimension d) is 1, so [x^n] at t = -1 is (-1)^n
+    for maker in (f_delta, f_stasheff, f_cube):
+        values = maker(60).evaluate_t(-1)
+        assert values[0] == 0
+        assert all(values[n] == (-1) ** n for n in range(1, 61)), maker.__name__
 
 
 def test_full_report():
