@@ -64,8 +64,9 @@ tests.
 Face i of a block then sends the elements with factors a, b in slots i,
 i+1 to the factors t of a * b, at fixed prefix and suffix of the other
 slots: a boundary row is index arithmetic, and no tuple of cells is
-hashed.  ``level_dims`` counts the same levels from the closed-form cell
-counts, without building them.
+hashed.  ``level_dims`` counts the same levels without building them, as
+coefficients of composed counting series: level n has |coefficients of
+arity n| times [x^w] F^n elements, F counting the factors by weight.
 """
 
 from __future__ import annotations
@@ -87,6 +88,7 @@ from .cells import (
 from .dendriform import BASIS_OPS, DEND_OPS, DENDRIFORM_SCHEME
 from .linear import LinComb, as_lincomb, rank
 from .relations import require_bound
+from .series import _compose
 from .trialgebra import KEY_OPS, TRI_OPS, TRIALGEBRA_SCHEME
 
 SIMPLEX_FAMILY = "simplex"
@@ -262,17 +264,17 @@ def _family_record(family: str, weight: int) -> _Family:
 
 def level_dims(family: str, weight: int) -> dict[int, int]:
     """The level dimensions of ``build_complex(family, weight)``, counted
-    without building anything: level n has, summed over the compositions
-    of the weight, |coefficients of arity n| times the product of
-    |factors of weight w_k|."""
+    without building anything.  With F = sum |factors of weight k| x^k,
+    the factor tuples of total weight w at level n number [x^w] F^n, and
+    F^n is x^n composed with F (``series._compose``), so level n has
+    |coefficients of arity n| [x^w] F^n elements."""
     record = _family_record(family, weight)
     coeffs, factors = (
-        [cell_count(r.cells, n) for n in range(1, weight + 1)]
+        [0] + [cell_count(r.cells, k) for k in range(1, weight + 1)]
         for r in (record, FAMILIES[record.dual])
     )
     return {
-        n: coeffs[n - 1]
-        * sum(math.prod(factors[w - 1] for w in comp) for comp in compositions(weight, n))
+        n: coeffs[n] * _compose([int(k == n) for k in range(weight + 1)], factors, weight)[weight]
         for n in range(1, weight + 1)
     }
 

@@ -5,7 +5,8 @@ standing for  (x a y) b z = x c (y d z).  ``check_scheme`` checks the rows
 of a ``Scheme`` on basis triples; ``duality`` turns the same rows into
 weight-2 relation vectors.  ``require_bound`` refuses a bound that admits
 no case, and ``check_cases`` counts the cases each exhaustive check visits
-at a bound without running it.
+at a bound without running it, as coefficients of composed counting
+series.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import operator
 from collections import namedtuple
 
 from .cells import cell_count
+from .series import _compose
 
 
 class Scheme(
@@ -87,45 +89,26 @@ def check_scheme(scheme: Scheme, bound: int) -> tuple[list[dict], int]:
     return entries, triples
 
 
-def _size_counts(family: str, least: int, top: int) -> list[int]:
-    """Index k holds the basis elements of size k >= least that a check
-    visits: subset cells of arity k, or planar trees with k leaves."""
-    shift = 0 if family == "subset" else 1
-    return [cell_count(family, k - shift) if k >= least else 0 for k in range(top + 1)]
-
-
-def _times(a: list[int], b: list[int]) -> list[int]:
-    """Product of two count polynomials, cut at the degree of ``a``."""
-    out = [0] * len(a)
-    for i, x in enumerate(a):
-        for j in range(len(a) - i):
-            out[i + j] += x * b[j]
-    return out
-
-
 def check_cases(check: str, bound: int) -> int:
-    """The cases an exhaustive check visits at ``bound``, counted from
-    ``cells.cell_count`` without running it: the basis triples of
-    ``trialgebra_relations`` and ``dendriform_relations`` (star
-    associativity visits the same), the cell pairs of ``dg_rules``, the
-    unit and associativity cases of ``operad_axioms``.  The count takes
+    """The cases an exhaustive check visits at ``bound``, counted without
+    running it (the symbolic method: Flajolet and Sedgewick 2009,
+    *Analytic Combinatorics*, ch. I).  With C = sum c_k x^k, c_k the basis
+    elements of size k a check visits (subset cells of arity k, or planar
+    trees with k >= 2 leaves, from ``cells.cell_count``), the cases up to
+    ``bound`` are the coefficients up to x^bound of: C^3 for the basis
+    triples of ``trialgebra_relations`` and ``dendriform_relations`` (star
+    associativity visits the same), C^2 for the cell pairs of
+    ``dg_rules``, and C(C(C)) for the (x; ys; zs) associativity cases of
+    ``operad_axioms``, plus its 2 sum C unit cases.  All are read from
+    ``series._compose``; C^k is x^k composed with C.  The count takes
     about bound^3 steps; every check visits at least 2^(bound - 6) cases,
     so a caller can refuse a huge bound before counting."""
-    top = max(bound, 0)
-    if check == "dendriform_relations":
-        c = _size_counts("tree", 2, top)
-        return sum(_times(c, _times(c, c)))
-    c = _size_counts("subset", 1, top)
-    if check == "trialgebra_relations":
-        return sum(_times(c, _times(c, c)))
-    if check == "dg_rules":
-        return sum(_times(c, c))
-    if check != "operad_axioms":
+    if check not in ("trialgebra_relations", "dendriform_relations", "dg_rules", "operad_axioms"):
         raise ValueError(f"unknown check {check!r}")
-    # x with its ys of total arity m, times the zs of each total arity
-    # <= bound that fill the m slots of (x; ys)
-    powers = [[1] + [0] * top]
-    for _ in range(top):
-        powers.append(_times(powers[-1], c))
-    with_ys = [sum(c[n] * powers[n][m] for n in range(top + 1)) for m in range(top + 1)]
-    return 2 * sum(c) + sum(with_ys[m] * sum(powers[m]) for m in range(1, top + 1))
+    top = max(bound, 0)
+    family, least = ("tree", 2) if check == "dendriform_relations" else ("subset", 1)
+    c = [cell_count(family, k - least + 1) if k >= least else 0 for k in range(top + 1)]
+    if check == "operad_axioms":
+        return 2 * sum(c) + sum(_compose(_compose(c, c, top), c, top))
+    k = 2 if check == "dg_rules" else 3
+    return sum(_compose([int(i == k) for i in range(top + 1)], c, top))

@@ -1,6 +1,7 @@
 """Weight-graded chain complexes: faces, d^2 = 0, homology, conventions."""
 
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -44,6 +45,7 @@ from trioperad.complexes import (
 from trioperad.dendriform import BASIS_OPS, DEND_OPS, DENDRIFORM_SCHEME, GENERATOR
 from trioperad.duality import _relation_vector
 from trioperad.linear import LinComb, as_lincomb, rank
+from trioperad.series import TPoly, TSeries, f_delta, f_stasheff
 from trioperad.trialgebra import KEY_OPS, OPERAD_UNIT, TRI_OPS, TRIALGEBRA_SCHEME
 
 A = parse_tree("(|,|)")
@@ -407,12 +409,29 @@ def test_level_dims_match_built_dims(family):
 
 
 def test_level_dims_totals():
-    for w in range(1, 13):
+    for w in range(1, 21):
         simplex, tree = (sum(level_dims(f, w).values()) for f in (SIMPLEX_FAMILY, TREE_FAMILY))
         assert simplex == 6 ** (w - 1)
         # the cap in `complex build` refuses by 6^(w-1) before counting
         assert tree >= simplex
     assert [sum(level_dims(TREE_FAMILY, w).values()) for w in (5, 6, 7)] == [1512, 10392, 73440]
+
+
+@pytest.mark.parametrize(
+    "family, coeff_series, factor_series",
+    [(SIMPLEX_FAMILY, f_delta, f_stasheff), (TREE_FAMILY, f_stasheff, f_delta)],
+)
+def test_level_dims_by_degree_match_the_series(family, coeff_series, factor_series):
+    # [x^n] of the coefficients' series, composed with the factors' series,
+    # counts level n by degree at x^w: an element's degree is its
+    # coefficient's plus its factors', and both series carry (-1)^size
+    for w in range(1, 6):
+        D, S = coeff_series(w), factor_series(w)
+        gc = build_complex(family, w)
+        for n, elements in gc.levels.items():
+            by_degree = Counter(c.degree + sum(f.degree for f in fs) for c, fs in elements)
+            want = (-1) ** w * TSeries(w, [0] * n + [(-1) ** n * D.coeffs[n]]).compose(S).coeffs[w]
+            assert TPoly([by_degree[d] for d in range(max(by_degree) + 1)]) == want
 
 
 @pytest.mark.parametrize("family", [SIMPLEX_FAMILY, TREE_FAMILY])
