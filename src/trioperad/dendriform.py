@@ -18,8 +18,8 @@ Each basis product has one definition: ``_prec``, ``_succ``, ``_mid`` and
 distinct result trees.  Every basis product has coefficient 1 and no
 repeated term (prec, succ and mid results differ in root arity or in the
 leaf count of the first child), and ``_star`` is the concatenation of the
-three.  Grafting under a fixed head and tail is injective on interned
-trees, so ``_graft_star`` keeps the terms of ``_star`` distinct.
+three.  Grafting (``cells.graft_each``) under a fixed head and tail is
+injective on interned trees, so the terms of ``_star`` stay distinct.
 
 A sum of basis products is therefore a multiset of trees.  The relation
 schemes run on multisets in no fixed order (``_multiset``), compare them
@@ -37,9 +37,9 @@ from __future__ import annotations
 import math
 from collections import Counter
 from functools import lru_cache
-from itertools import chain, product, starmap
+from itertools import chain, product, repeat, starmap
 
-from .cells import LEAF, PlanarTree, decompose, enumerate_planar_trees, graft, graft_each
+from .cells import LEAF, PlanarTree, enumerate_planar_trees, graft, graft_each
 from .linear import LinComb, rank
 from .relations import Scheme, check_scheme, require_bound
 
@@ -51,27 +51,22 @@ GENERATOR = graft((LEAF, LEAF))
 # =====================================================================
 
 
-def _graft_star(head: tuple, x: PlanarTree, y: PlanarTree, tail: tuple) -> tuple:
-    """Graft head, each term of x * y, tail under one root."""
-    return graft_each(head, _star(x, y), tail)
-
-
 @lru_cache(maxsize=None)
 def _prec(x: PlanarTree, y: PlanarTree) -> tuple:
-    parts = decompose(x)
-    return _graft_star(parts[:-1], parts[-1], y, ())
+    parts = x.children
+    return graft_each(parts[:-1], _star(parts[-1], y), ())
 
 
 @lru_cache(maxsize=None)
 def _succ(x: PlanarTree, y: PlanarTree) -> tuple:
-    parts = decompose(y)
-    return _graft_star((), x, parts[0], parts[1:])
+    parts = y.children
+    return graft_each((), _star(x, parts[0]), parts[1:])
 
 
 @lru_cache(maxsize=None)
 def _mid(x: PlanarTree, y: PlanarTree) -> tuple:
-    xp, yp = decompose(x), decompose(y)
-    return _graft_star(xp[:-1], xp[-1], yp[0], yp[1:])
+    xp, yp = x.children, y.children
+    return graft_each(xp[:-1], _star(xp[-1], yp[0]), yp[1:])
 
 
 @lru_cache(maxsize=None)
@@ -182,12 +177,14 @@ def _multiset(basis_op):
         if isinstance(x, PlanarTree):
             if isinstance(y, PlanarTree):
                 return basis_op(x, y)
-            x = (x,)
+            terms = map(basis_op, repeat(x), y)
         elif isinstance(y, PlanarTree):
-            y = (y,)
+            terms = map(basis_op, x, repeat(y))
+        else:
+            terms = starmap(basis_op, product(x, y))
         # a tuple grown from an iterator would, once freed, fill the
         # interpreter's tuple free lists; one made from a list does not
-        return tuple([*chain.from_iterable(starmap(basis_op, product(x, y)))])
+        return tuple([*chain.from_iterable(terms)])
 
     return op
 

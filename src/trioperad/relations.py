@@ -51,9 +51,9 @@ def check_scheme(scheme: Scheme, bound: int) -> tuple[list[dict], int]:
     """Every row of ``scheme`` on every basis triple with sizes
     >= ``scheme.min_size`` summing to <= ``bound``.  Returns one {relation,
     holds, counterexample} entry per row, the counterexample being the
-    first failing triple, and the triple count.  Each (x a y) is computed
-    once per pair and each (y d z) once per triple, a cache hit with no
-    new object on the tree side.
+    first failing triple in the order p, q, x, y, z, and the triple count.
+    Each (x a y) is computed once per pair, and each (y d z) once per
+    (p, q) block, for every y and z, before the loop over x.
     """
     ops, m, render, same = scheme.ops, scheme.min_size, scheme.render, scheme.same
     require_bound(bound, 3 * m, "basis triple")
@@ -68,12 +68,13 @@ def check_scheme(scheme: Scheme, bound: int) -> tuple[list[dict], int]:
     for p in range(m, bound - 2 * m + 1):
         for q in range(m, bound - p - m + 1):
             zs = [z for r in range(m, bound - p - q + 1) for z in scheme.basis(r)]
+            ys = scheme.basis(q)
+            yzs = [[{d: ops[d](y, z) for d in inner_right} for z in zs] for y in ys]
             for x in scheme.basis(p):
-                for y in scheme.basis(q):
+                for y, yz_row in zip(ys, yzs):
                     xy = {a: ops[a](x, y) for a in inner_left}
-                    for z in zs:
-                        triples += 1
-                        yz = {d: ops[d](y, z) for d in inner_right}
+                    triples += len(zs)
+                    for z, yz in zip(zs, yz_row):
                         for a, outer_left, outer_right, d, entry in rows:
                             lhs = outer_left(xy[a], z)
                             rhs = outer_right(x, yz[d])

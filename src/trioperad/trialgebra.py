@@ -96,12 +96,13 @@ def check_operad_axioms(max_arity: int) -> dict:
     zs_b is the block of zs that y_b takes.  For each inner arities (of
     the zs) and outer arities (of the ys), every inner composite
     (y; zs_b), for each y and zs_b of block b, is computed once, before
-    the loop over x, which it does not depend on.  The left side is
-    computed once per distinct (x; ys) and zs, for the current inner
-    arities only; each case then composes its right side.  Cases run x,
-    then ys, then zs, so the first failure is the first case in that
-    order.  The zs are generated, never stored, so the tables hold only
-    ints: the check's peak memory stays a few kilobytes.
+    the loop over x, which it does not depend on.  The left sides are a
+    list per distinct (x; ys), for the current inner arities only; each
+    (x; ys) composes its right sides in one pass, compares the two lists,
+    and builds a zs only to name a failing case.  Cases run x, then ys,
+    then zs, so the first failure is the first case in that order.  The
+    zs are generated, never stored, so the tables hold only ints: the
+    check's peak memory stays a few kilobytes.
     """
     require_bound(max_arity, 1, "composite")
     unit_cases = 0
@@ -149,21 +150,21 @@ def check_operad_axioms(max_arity: int) -> dict:
                                 assoc_cases += len(lhs_row)
                                 # product(*rows) runs over the zs in the order
                                 # of product(*inner_bases)
-                                for zs, lhs, args in zip(
-                                    itertools.product(*inner_bases),
-                                    lhs_row,
-                                    itertools.product(*rows),
-                                ):
-                                    rhs = gamma_key(x, args)
-                                    if lhs != rhs and first_failure is None:
-                                        first_failure = {
-                                            "kind": "associativity",
-                                            "x": key_literal(x),
-                                            "ys": [key_literal(y) for y in ys],
-                                            "zs": [key_literal(z) for z in zs],
-                                            "lhs": key_literal(lhs),
-                                            "rhs": key_literal(rhs),
-                                        }
+                                rhs_row = list(
+                                    map(gamma_key, itertools.repeat(x), itertools.product(*rows))
+                                )
+                                if rhs_row != lhs_row and first_failure is None:
+                                    k = next(k for k, r in enumerate(rhs_row) if r != lhs_row[k])
+                                    every_zs = itertools.product(*inner_bases)
+                                    zs = next(itertools.islice(every_zs, k, None))
+                                    first_failure = {
+                                        "kind": "associativity",
+                                        "x": key_literal(x),
+                                        "ys": [key_literal(y) for y in ys],
+                                        "zs": [key_literal(z) for z in zs],
+                                        "lhs": key_literal(lhs_row[k]),
+                                        "rhs": key_literal(rhs_row[k]),
+                                    }
     return {
         "passed": first_failure is None,
         "max_arity": max_arity,

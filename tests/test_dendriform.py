@@ -225,6 +225,10 @@ def test_multiset_ops_agree_with_lincomb_ops(name):
     sums += [(A, A, B), (B, A, B, B), (A,)]
     assert any(len(set(s)) < len(s) for s in sums)
     cases = list(zip(sums, reversed(sums))) + [(A, (A, A, B)), ((B, B), A), (A, B)]
+    # each argument shape, a tuple side with and without repeats
+    C = parse_tree("(|,(|,|))")
+    cases += [(B, (C, A, C, C)), (C, (B, A)), ((C, A, B), B), ((A, C, A), C)]
+    cases += [((B, C), (A, A, C)), ((C, C), (B,)), ((A, B), (C, B))]
     for x, y in cases:
         got = op(x, y)
         assert type(got) is tuple

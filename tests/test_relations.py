@@ -1,11 +1,13 @@
 """The relation-scheme harness: non-vacuous bounds and negative controls."""
 
+import itertools
 import operator
 
 import pytest
 
 from trioperad import trialgebra
 
+from trioperad.cells import compositions, enumerate_planar_trees, key_literal, subset_keys
 from trioperad.complexes import face_convention_sweep, simplex_convention_sweep
 from trioperad.dendriform import (
     DENDRIFORM_SCHEME,
@@ -20,6 +22,8 @@ from trioperad.trialgebra import (
     check_dg_rules,
     check_operad_axioms,
     check_trialgebra_relations,
+    left_key,
+    mid_key,
 )
 
 
@@ -179,6 +183,59 @@ def test_operad_check_composes_at_most_twice_per_case(monkeypatch):
     assert calls <= 2 * (240 + 42034)
 
 
+def _reference_operad_failure(gamma, bound):
+    # case by case, in the order of check_operad_axioms: both sides of
+    # every (x; ys; zs) composed afresh, with no table
+    for total in range(1, bound + 1):
+        for mid_arity in range(1, total + 1):
+            for inner_arities in compositions(total, mid_arity):
+                for n in range(1, mid_arity + 1):
+                    for outer_arities in compositions(mid_arity, n):
+                        for x in subset_keys(n):
+                            for ys in itertools.product(*map(subset_keys, outer_arities)):
+                                for zs in itertools.product(*map(subset_keys, inner_arities)):
+                                    rest = iter(zs)
+                                    args = [
+                                        gamma(y, list(itertools.islice(rest, k)))
+                                        for y, k in zip(ys, outer_arities)
+                                    ]
+                                    lhs, rhs = gamma(gamma(x, ys), zs), gamma(x, args)
+                                    if lhs != rhs:
+                                        return {
+                                            "kind": "associativity",
+                                            "x": key_literal(x),
+                                            "ys": [key_literal(y) for y in ys],
+                                            "zs": [key_literal(z) for z in zs],
+                                            "lhs": key_literal(lhs),
+                                            "rhs": key_literal(rhs),
+                                        }
+    return None
+
+
+def _last_slot_gamma_key(outer, args):
+    # gamma, except that three arguments ending in {1,2}@2 also select the
+    # first slot: the last zs of a block, never its first, sees it
+    if len(args) == 3 and args[-1] == 0b111:
+        outer |= 1
+    return _GAMMA_KEY(outer, args)
+
+
+def test_operad_check_reports_the_first_case_inside_a_block(monkeypatch):
+    # the first wrong case has a later x and a later zs than its (x; ys)
+    # block starts with; the check must name it, not the block's first zs
+    want = _reference_operad_failure(_last_slot_gamma_key, 5)
+    assert want == {
+        "kind": "associativity",
+        "x": "{2}@2",
+        "ys": ["{1}@1", "{1}@2"],
+        "zs": ["{1}@1", "{1}@1", "{1,2}@2"],
+        "lhs": "{1,2}@4",
+        "rhs": "{2}@4",
+    }
+    assert _first_failure(monkeypatch, _last_slot_gamma_key, 5) == want
+    assert _reference_operad_failure(_GAMMA_KEY, 4) is None
+
+
 # (row index, perturbed row, lhs, rhs); each first fails at x = y = z = (|,|)
 PERTURBED_TREE_ROWS = [
     (4, ("prec", "mid", "mid", "prec"), "(|,(|,|),|)", "(|,|,(|,|))"),
@@ -270,6 +327,76 @@ def test_harness_rejects_a_tree_product_broken_past_bound_7():
         1: {**corner, "lhs": "((|,|),|,(|,(|,|)))", "rhs": "((|,|),(|,(|,(|,|))))"},
         5: {**corner, "lhs": "(|,|,|,(|,(|,|)))", "rhs": "(|,|,(|,(|,(|,|))))"},
     }
+
+
+def _reference_failures(scheme, bound):
+    # the plain loop over p, q, x, y, z and the rows, both sides of every
+    # row computed afresh for every triple: {row index: counterexample}
+    ops, m, render = scheme.ops, scheme.min_size, scheme.render
+    found = {}
+    for p in range(m, bound - 2 * m + 1):
+        for q in range(m, bound - p - m + 1):
+            for x in scheme.basis(p):
+                for y in scheme.basis(q):
+                    for r in range(m, bound - p - q + 1):
+                        for z in scheme.basis(r):
+                            for i, (a, b, c, d) in enumerate(scheme.rows):
+                                lhs, rhs = ops[b](ops[a](x, y), z), ops[c](x, ops[d](y, z))
+                                if i not in found and not scheme.same(lhs, rhs):
+                                    found[i] = {
+                                        "x": render(x),
+                                        "y": render(y),
+                                        "z": render(z),
+                                        "lhs": render(lhs),
+                                        "rhs": render(rhs),
+                                    }
+    return found
+
+
+def _with_broken_row(scheme, i, broken):
+    # row i with its outer right-hand product replaced by ``broken``
+    rows = list(scheme.rows)
+    a, b, _, d = rows[i]
+    rows[i] = (a, b, "broken", d)
+    return scheme._replace(ops={**scheme.ops, "broken": broken}, rows=tuple(rows))
+
+
+def test_harness_order_on_a_key_row_broken_past_the_first_x():
+    # x -| (y |- z) is wrong only for x of arity >= 3 other than {1}@n,
+    # and z of two elements: of the many failing triples the check must
+    # report the first in the order p, q, x, y, z
+    def broken(u, v):
+        p = u.bit_length() - 1
+        late = p >= 3 and u != 1 << p | 1
+        return mid_key(u, v) if late and v.bit_count() == 3 else left_key(u, v)
+
+    scheme = _with_broken_row(TRIALGEBRA_SCHEME, 1, broken)
+    want = _reference_failures(scheme, 7)
+    assert want == {
+        1: {"x": "{2}@3", "y": "{1}@1", "z": "{1,2}@2", "lhs": "{2}@6", "rhs": "{2,5,6}@6"}
+    }
+    assert _failures(scheme, 7) == want
+
+
+def test_harness_order_on_a_tree_product_broken_past_the_first_x():
+    # x prec (y star z) is wrong only for x other than the first tree of
+    # its size and y not of the form (|,t), which the first term of y star
+    # z shows: its root has y's branch count and y's first branch
+    ops = DENDRIFORM_SCHEME.ops
+
+    def broken(u, v):
+        head = v[0].children
+        late = u is not enumerate_planar_trees(u.leaves)[0]
+        if late and (len(head) > 2 or not head[0].is_leaf):
+            return ops["mid"](u, v)
+        return ops["prec"](u, v)
+
+    scheme = _with_broken_row(DENDRIFORM_SCHEME, 0, broken)
+    want = _reference_failures(scheme, 9)
+    assert list(want) == [0]
+    corner = {"x": "((|,|),|)", "y": "((|,|),|)", "z": "(|,|)"}
+    assert {k: want[0][k] for k in corner} == corner
+    assert _failures(scheme, 9) == want
 
 
 def test_check_cases_count_what_the_checks_visit():
