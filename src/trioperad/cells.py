@@ -366,10 +366,15 @@ def enumerate_planar_trees(leaf_count: int) -> list[PlanarTree]:
 
 
 def compositions(total: int, parts: int):
-    """Yield all ordered tuples of ``parts`` positive ints summing to total."""
+    """Yield all ordered tuples of ``parts`` positive ints summing to total
+    (for ``parts < 1``, only the empty composition of 0)."""
     if parts == 1:
         if total >= 1:
             yield (total,)
+        return
+    if parts < 1:
+        if parts == total == 0:
+            yield ()
         return
     for first in range(1, total - parts + 2):
         for rest in compositions(total - first, parts - 1):

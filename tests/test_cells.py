@@ -466,3 +466,7 @@ def test_compositions():
     assert list(compositions(4, 2)) == [(1, 3), (2, 2), (3, 1)]
     assert list(compositions(3, 3)) == [(1, 1, 1)]
     assert list(compositions(2, 3)) == []
+    # fewer than one part: no composition, except the empty one of 0
+    assert list(compositions(3, 0)) == []
+    assert list(compositions(0, 0)) == [()]
+    assert list(compositions(2, -1)) == []

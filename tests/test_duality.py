@@ -1,19 +1,18 @@
 """Relation-span duality certificate on the 18-dimensional pairing space."""
 
-from fractions import Fraction
-
+from trioperad.dendriform import DENDRIFORM_SCHEME
 from trioperad.duality import (
     DIMENSION,
+    _associative_diagonal_report,
     _complement_matches,
     basis_index,
     certify_duality,
-    dendriform_relation_vectors,
     duality_pairing,
     negative_control_scheme,
     relation_vectors,
-    trialgebra_relation_vectors,
 )
 from trioperad.linear import rank
+from trioperad.trialgebra import TRIALGEBRA_SCHEME
 
 PINNED_MATRIX_SHA = "6164d69363dd51df244677c7b350ffc4aa09bb6f018422da7260479a486793a8"
 
@@ -32,8 +31,8 @@ def test_dimension_and_index():
 
 
 def test_relation_vector_counts_and_ranks():
-    tri = trialgebra_relation_vectors()
-    dend = dendriform_relation_vectors()
+    tri = relation_vectors(TRIALGEBRA_SCHEME)
+    dend = relation_vectors(DENDRIFORM_SCHEME)
     assert len(tri) == 11
     assert len(dend) == 7
     assert rank(tri) == 11
@@ -44,13 +43,13 @@ def test_relation_vector_counts_and_ranks():
 def test_star_expansion_in_dendriform_vectors():
     # relation 1: (x prec y) prec z = x prec (y star z) -- the star side
     # fans out into three slot-2 entries, so 4 nonzero entries in all
-    v = dendriform_relation_vectors()[0]
+    v = relation_vectors(DENDRIFORM_SCHEME)[0]
     assert sum(1 for c in v if c) == 4
 
 
 def test_pairing_of_first_vectors_is_zero():
-    tri = trialgebra_relation_vectors()
-    dend = dendriform_relation_vectors()
+    tri = relation_vectors(TRIALGEBRA_SCHEME)
+    dend = relation_vectors(DENDRIFORM_SCHEME)
     assert duality_pairing(tri[0], dend[0]) == 0
 
 
@@ -84,6 +83,18 @@ def test_associative_diagonal():
     assert diag["star_associativity_in_relation_span"]
 
 
+def test_collapse_half_holds_for_the_negative_control():
+    # the collapse half holds by the vector encoding for every row without
+    # the sum symbol; only star associativity in the tree span can fail
+    dend = relation_vectors(DENDRIFORM_SCHEME)
+    perturbed = relation_vectors(negative_control_scheme())
+    report = _associative_diagonal_report(perturbed, dend, rank(dend))
+    assert report["relations_collapse_to_associativity"]
+    report = _associative_diagonal_report(perturbed, dend[:-1], rank(dend[:-1]))
+    assert report["relations_collapse_to_associativity"]
+    assert not report["star_associativity_in_relation_span"]
+
+
 def test_relation_statements_listed():
     cert = certify_duality()
     assert len(cert["trialgebra_relations"]) == 11
@@ -100,15 +111,15 @@ def _orthogonal(us, vs):
 
 
 def test_complement_matches_the_two_schemes():
-    tri = trialgebra_relation_vectors()
-    dend = dendriform_relation_vectors()
+    tri = relation_vectors(TRIALGEBRA_SCHEME)
+    dend = relation_vectors(DENDRIFORM_SCHEME)
     assert _complement_matches(tri, dend, _orthogonal(tri, dend))
 
 
 def test_complement_rejects_a_dropped_dendriform_vector():
     # still orthogonal, but rank 6 falls short of 18 - 11
-    tri = trialgebra_relation_vectors()
-    dend = dendriform_relation_vectors()[:-1]
+    tri = relation_vectors(TRIALGEBRA_SCHEME)
+    dend = relation_vectors(DENDRIFORM_SCHEME)[:-1]
     assert rank(dend) == 6
     assert _orthogonal(tri, dend)
     assert not _complement_matches(tri, dend, True)
@@ -116,5 +127,5 @@ def test_complement_rejects_a_dropped_dendriform_vector():
 
 def test_complement_rejects_the_negative_control():
     perturbed = relation_vectors(negative_control_scheme())
-    dend = dendriform_relation_vectors()
+    dend = relation_vectors(DENDRIFORM_SCHEME)
     assert not _complement_matches(perturbed, dend, _orthogonal(perturbed, dend))
