@@ -22,9 +22,10 @@ three.  Grafting (``cells.graft_each``) under a fixed head and tail is
 injective on interned trees, so the terms of ``_star`` stay distinct.
 
 A sum of basis products is therefore a multiset of trees.  The relation
-schemes run on multisets in no fixed order (``_multiset``), compare them
-with ``_same_multiset`` and build no ``LinComb``; ``render`` writes a
-multiset as the ``LinComb`` it stands for.
+schemes run on multisets in no fixed order (``_multiset``: a tree times a
+tree or a 1-tuple is the cached tuple itself), compare them with
+``_same_multiset`` and build no ``LinComb``; ``render`` writes a multiset
+as the ``LinComb`` it stands for.
 
 The public ``prec``/``succ``/``mid``/``star`` are bilinear sums over the
 same tuples: they read the term dicts of their arguments (a bare tree
@@ -170,15 +171,19 @@ DENDRIFORM_RELATIONS: list[tuple[str, str, str, str]] = [
 
 def _multiset(basis_op):
     """``basis_op`` summed over a tree or a tuple of trees on either side:
-    on two trees the cached tuple itself, else a flat tuple of the result
-    trees, repeats kept, unsorted."""
+    on two trees, or a tree and a 1-tuple, the cached tuple itself, else a
+    flat tuple of the result trees, repeats kept, unsorted."""
 
     def op(x, y) -> tuple:
         if isinstance(x, PlanarTree):
             if isinstance(y, PlanarTree):
                 return basis_op(x, y)
+            if len(y) == 1:
+                return basis_op(x, y[0])
             terms = map(basis_op, repeat(x), y)
         elif isinstance(y, PlanarTree):
+            if len(x) == 1:
+                return basis_op(x[0], y)
             terms = map(basis_op, x, repeat(y))
         else:
             terms = starmap(basis_op, product(x, y))

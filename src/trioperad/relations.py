@@ -2,11 +2,11 @@
 
 Each side of the dual pair is three binary generators and rows (a, b, c, d)
 standing for  (x a y) b z = x c (y d z).  ``check_scheme`` checks the rows
-of a ``Scheme`` on basis triples; ``duality`` turns the same rows into
-weight-2 relation vectors.  ``require_bound`` refuses a bound that admits
-no case, and ``check_cases`` counts the cases each exhaustive check visits
-at a bound without running it, as coefficients of composed counting
-series.
+of a ``Scheme`` on basis triples, one (p, q) block of sizes at a time;
+``duality`` turns the same rows into weight-2 relation vectors.
+``require_bound`` refuses a bound that admits no case, and
+``check_cases`` counts the cases each exhaustive check visits at a bound
+without running it, as coefficients of composed counting series.
 """
 
 from __future__ import annotations
@@ -52,41 +52,59 @@ def check_scheme(scheme: Scheme, bound: int) -> tuple[list[dict], int]:
     >= ``scheme.min_size`` summing to <= ``bound``.  Returns one {relation,
     holds, counterexample} entry per row, the counterexample being the
     first failing triple in the order p, q, x, y, z, and the triple count.
-    Each (x a y) is computed once per pair, and each (y d z) once per
-    (p, q) block, for every y and z, before the loop over x.
+
+    A row is checked once per (p, q) block: every (x a y) and (y d z) of
+    the block is computed once per inner symbol, and both sides of a row
+    are lists over the block's triples in (x, y, z) order.  A row passes
+    the block if the lists are equal or agree under ``same`` item by item;
+    else its first disagreeing index is decoded into (x, y, z).  The first
+    failure of a row is kept, and a row that has failed is not checked
+    again.
     """
     ops, m, render, same = scheme.ops, scheme.min_size, scheme.render, scheme.same
     require_bound(bound, 3 * m, "basis triple")
-    entries = [
-        {"relation": relation_statement(rel), "holds": True, "counterexample": None}
-        for rel in scheme.rows
-    ]
-    rows = [(a, ops[b], ops[c], d, entry) for (a, b, c, d), entry in zip(scheme.rows, entries)]
     inner_left = {rel[0] for rel in scheme.rows}
     inner_right = {rel[3] for rel in scheme.rows}
+    failures: dict[int, dict] = {}
     triples = 0
     for p in range(m, bound - 2 * m + 1):
+        xs = scheme.basis(p)
         for q in range(m, bound - p - m + 1):
-            zs = [z for r in range(m, bound - p - q + 1) for z in scheme.basis(r)]
             ys = scheme.basis(q)
-            yzs = [[{d: ops[d](y, z) for d in inner_right} for z in zs] for y in ys]
-            for x in scheme.basis(p):
-                for y, yz_row in zip(ys, yzs):
-                    xy = {a: ops[a](x, y) for a in inner_left}
-                    triples += len(zs)
-                    for z, yz in zip(zs, yz_row):
-                        for a, outer_left, outer_right, d, entry in rows:
-                            lhs = outer_left(xy[a], z)
-                            rhs = outer_right(x, yz[d])
-                            if not same(lhs, rhs) and entry["holds"]:
-                                entry["holds"] = False
-                                entry["counterexample"] = {
-                                    "x": render(x),
-                                    "y": render(y),
-                                    "z": render(z),
-                                    "lhs": render(lhs),
-                                    "rhs": render(rhs),
-                                }
+            zs = [z for r in range(m, bound - p - q + 1) for z in scheme.basis(r)]
+            xy = {a: [ops[a](x, y) for x in xs for y in ys] for a in inner_left}
+            yz = {d: [ops[d](y, z) for y in ys for z in zs] for d in inner_right}
+            triples += len(xs) * len(ys) * len(zs)
+            for i, (a, b, c, d) in enumerate(scheme.rows):
+                if i in failures:
+                    continue
+                outer_left, outer_right = ops[b], ops[c]
+                lhs = [outer_left(v, z) for v in xy[a] for z in zs]
+                rhs = [outer_right(x, w) for x in xs for w in yz[d]]
+                if lhs == rhs or all(map(same, lhs, rhs)):
+                    continue
+                k = [*map(same, lhs, rhs)].index(False)
+                ixy, iz = divmod(k, len(zs))
+                ix, iy = divmod(ixy, len(ys))
+                # the first failure is kept; the skip above only saves work
+                failures.setdefault(
+                    i,
+                    {
+                        "x": render(xs[ix]),
+                        "y": render(ys[iy]),
+                        "z": render(zs[iz]),
+                        "lhs": render(lhs[k]),
+                        "rhs": render(rhs[k]),
+                    },
+                )
+    entries = [
+        {
+            "relation": relation_statement(rel),
+            "holds": i not in failures,
+            "counterexample": failures.get(i),
+        }
+        for i, rel in enumerate(scheme.rows)
+    ]
     return entries, triples
 
 

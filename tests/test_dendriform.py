@@ -252,6 +252,21 @@ def test_multiset_ops_on_two_trees_are_the_cached_products(name):
             assert op(x, y) is basis_op(x, y), (name, str(x), str(y))
 
 
+@pytest.mark.parametrize("name", list(BASIS_OPS))
+def test_multiset_ops_on_a_tree_and_a_one_tuple(name):
+    # a 1-tuple on either side stands for its one tree: the op hands back
+    # the cached product of the two trees, the terms of the LinComb one
+    op, basis_op, lin = DENDRIFORM_SCHEME.ops[name], BASIS_OPS[name], DEND_OPS[name]
+    least = 1 if name == "star" else 2
+    trees = [t for n in range(least, 6) for t in enumerate_planar_trees(n)]
+    for t in trees:
+        for u in trees:
+            want = basis_op(t, u)
+            assert op((t,), u) == op(t, (u,)) == op(t, u) == want, (name, str(t), str(u))
+            assert op((t,), u) is want and op(t, (u,)) is want
+            assert _counted(op((t,), u)) == _counted(op(t, (u,))) == lin(t, u)
+
+
 def test_same_compares_multisets_exactly():
     same = DENDRIFORM_SCHEME.same
     C = parse_tree("(|,(|,|))")

@@ -354,11 +354,13 @@ def _reference_failures(scheme, bound):
 
 
 def _with_broken_row(scheme, i, broken):
-    # row i with its outer right-hand product replaced by ``broken``
+    # row i with its outer right-hand product replaced by ``broken``, under
+    # a name of its own, so that several rows can be broken in turn
     rows = list(scheme.rows)
     a, b, _, d = rows[i]
-    rows[i] = (a, b, "broken", d)
-    return scheme._replace(ops={**scheme.ops, "broken": broken}, rows=tuple(rows))
+    name = f"broken {i}"
+    rows[i] = (a, b, name, d)
+    return scheme._replace(ops={**scheme.ops, name: broken}, rows=tuple(rows))
 
 
 def test_harness_order_on_a_key_row_broken_past_the_first_x():
@@ -397,6 +399,109 @@ def test_harness_order_on_a_tree_product_broken_past_the_first_x():
     corner = {"x": "((|,|),|)", "y": "((|,|),|)", "z": "(|,|)"}
     assert {k: want[0][k] for k in corner} == corner
     assert _failures(scheme, 9) == want
+
+
+# per side: the scheme, the bound, its check_cases name, the size of a
+# basis element and the first basis element of a size
+SIDES = {
+    "key": (
+        TRIALGEBRA_SCHEME,
+        7,
+        "trialgebra_relations",
+        lambda u: u.bit_length() - 1,
+        lambda n: 1 << n | 1,
+    ),
+    "tree": (
+        DENDRIFORM_SCHEME,
+        9,
+        "dendriform_relations",
+        lambda u: u.leaves,
+        lambda n: enumerate_planar_trees(n)[0],
+    ),
+}
+
+
+def _switched(scheme, i, other, when):
+    # row i with its outer right-hand product swapped for ``other`` on the
+    # (u, v) where ``when`` holds
+    ops, c = scheme.ops, scheme.rows[i][2]
+    return _with_broken_row(
+        scheme, i, lambda u, v: ops[other](u, v) if when(u, v) else ops[c](u, v)
+    )
+
+
+def _sizes(ce):
+    # the sizes (p, q, r) of a counterexample triple: the arity after "@"
+    # of a key literal, the leaf count of a tree
+    literals = (ce[k] for k in "xyz")
+    return tuple(int(s.split("@")[1]) if "@" in s else s.count("|") for s in literals)
+
+
+def _matches_the_plain_loop(scheme, bound, check):
+    # every entry of the block harness is the plain loop's, and the triple
+    # count is the counted one
+    entries, triples = check_scheme(scheme, bound)
+    assert triples == check_cases(check, bound)
+    want = _reference_failures(scheme, bound)
+    assert [(e["holds"], e["counterexample"]) for e in entries] == [
+        (i not in want, want.get(i)) for i in range(len(scheme.rows))
+    ]
+    return want
+
+
+@pytest.mark.parametrize(
+    "side, first_row, second_row",
+    [("key", (0, "mid"), (3, "left")), ("tree", (1, "prec"), (4, "succ"))],
+)
+def test_block_harness_with_two_rows_failing_in_different_blocks(side, first_row, second_row):
+    # the first row is wrong once x has one more than the least size, the
+    # second once it has two more: after the first row has failed, the
+    # harness goes on checking the second
+    scheme, bound, check, size, _ = SIDES[side]
+    m = scheme.min_size
+    scheme = _switched(scheme, *first_row, lambda u, v: size(u) > m)
+    scheme = _switched(scheme, *second_row, lambda u, v: size(u) > m + 1)
+    want = _matches_the_plain_loop(scheme, bound, check)
+    (i, _), (j, _) = first_row, second_row
+    assert list(want) == [i, j]
+    assert _sizes(want[i])[0] == m + 1 and _sizes(want[j])[0] == m + 2
+
+
+@pytest.mark.parametrize("side, row", [("key", (8, "left")), ("tree", (6, "prec"))])
+def test_block_harness_with_a_row_failing_only_in_the_last_block(side, row):
+    # x of the largest size meets only the last (p, q) block, whose y and
+    # z are of the least size; one bound lower the row holds
+    scheme, bound, check, size, _ = SIDES[side]
+    m = scheme.min_size
+    scheme = _switched(scheme, *row, lambda u, v: size(u) == bound - 2 * m)
+    want = _matches_the_plain_loop(scheme, bound, check)
+    assert list(want) == [row[0]]
+    assert _sizes(want[row[0]]) == (bound - 2 * m, m, m)
+    assert _matches_the_plain_loop(scheme, bound - 1, check) == {}
+
+
+@pytest.mark.parametrize(
+    "side, rows", [("key", ((0, "mid"), (2, "mid"))), ("tree", ((1, "prec"), (5, "prec")))]
+)
+def test_block_harness_with_two_rows_failing_first_at_one_triple(side, rows):
+    # both rows are wrong where neither x nor (y d z) is the first basis
+    # element of its size: the first such triple is inside its block, past
+    # its first x and its first (y, z)
+    scheme, bound, check, size, first = SIDES[side]
+
+    def late(u, v):
+        inner = v if isinstance(v, int) else v[0]
+        return u != first(size(u)) and inner != first(size(inner))
+
+    for row in rows:
+        scheme = _switched(scheme, *row, late)
+    want = _matches_the_plain_loop(scheme, bound, check)
+    (i, _), (j, _) = rows
+    assert list(want) == [i, j]
+    triple = {k: want[i][k] for k in "xyz"}
+    assert {k: want[j][k] for k in "xyz"} == triple
+    firsts = dict(zip("xyz", map(scheme.render, map(first, _sizes(triple)))))
+    assert triple["x"] != firsts["x"] and (triple["y"], triple["z"]) != (firsts["y"], firsts["z"])
 
 
 def test_check_cases_count_what_the_checks_visit():
