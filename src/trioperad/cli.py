@@ -364,6 +364,8 @@ def _dimensions_report() -> dict:
 def certify_all(level: str = "quick") -> dict:
     """Every certification in one pass; quick caps complexes at weight 4,
     full at weight 5."""
+    if level not in ("quick", "full"):
+        raise ValueError(f"unknown level {level!r}; the levels are 'quick' and 'full'")
     max_weight = 4 if level == "quick" else 5
     sections: dict[str, dict] = {}
     sections["operad_axioms"] = trialgebra.check_operad_axioms(6)

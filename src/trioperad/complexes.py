@@ -191,11 +191,15 @@ FAMILIES = {
 
 def face_map(i: int, coeff, factors: tuple, face) -> LinComb:
     """i-th face of the element (coeff; factors) under the convention
-    ``face``."""
+    ``face``; a basis element has one factor more than its coefficient
+    has faces."""
     n = len(factors)
+    faces = face(coeff, {})
+    if len(faces) != n - 1:
+        raise ValueError(f"{coeff} takes {len(faces) + 1} factors, got {n}")
     if not 1 <= i <= n - 1:
         raise ValueError(f"face index {i} out of range 1..{n - 1}")
-    new_coeff, op = face(coeff, {})[i - 1]
+    new_coeff, op = faces[i - 1]
     return LinComb(
         ((new_coeff, factors[: i - 1] + (t,) + factors[i + 1 :]), c)
         for t, c in as_lincomb(op(factors[i - 1], factors[i]))
@@ -235,8 +239,9 @@ class GradedComplex:
     def element(self, n: int, k: int) -> tuple:
         """The basis element (coefficient, factor tuple) with id k at
         level n, read off the mixed-radix id."""
-        if not 0 <= k < self.sizes[n]:
-            raise IndexError(f"id {k} out of range 0..{self.sizes[n] - 1} at level {n}")
+        size = self.sizes.get(n, 0)
+        if not 0 <= k < size:
+            raise IndexError(f"id {k} out of range 0..{size - 1} at level {n}")
         for comp, offset in reversed(self.offsets[n].items()):
             if offset <= k:
                 break

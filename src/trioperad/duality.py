@@ -29,9 +29,12 @@ DIMENSION = 18  # 2 slots x 3 outer x 3 inner
 
 
 def basis_index(slot: int, outer: int, inner: int) -> int:
-    """Index of (outer o_slot inner) in the 18-dimensional weight-2 space."""
+    """Index of (outer o_slot inner) in the 18-dimensional weight-2 space;
+    ``outer`` and ``inner`` index the three generators."""
     if slot not in (1, 2):
         raise ValueError("slot must be 1 or 2")
+    if not (0 <= outer < 3 and 0 <= inner < 3):
+        raise ValueError(f"generator indices must be 0, 1 or 2, got {outer} and {inner}")
     return (slot - 1) * 9 + outer * 3 + inner
 
 

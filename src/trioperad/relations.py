@@ -59,10 +59,12 @@ def check_scheme(scheme: Scheme, bound: int) -> tuple[list[dict], int]:
     the block if the lists are equal or agree under ``same`` item by item;
     else its first disagreeing index is decoded into (x, y, z).  The first
     failure of a row is kept, and a row that has failed is not checked
-    again.
+    again.  A scheme with no rows is refused: it would pass unchecked.
     """
     ops, m, render, same = scheme.ops, scheme.min_size, scheme.render, scheme.same
     require_bound(bound, 3 * m, "basis triple")
+    if not scheme.rows:
+        raise ValueError("a scheme with no rows admits no relation to check")
     inner_left = {rel[0] for rel in scheme.rows}
     inner_right = {rel[3] for rel in scheme.rows}
     failures: dict[int, dict] = {}

@@ -39,7 +39,7 @@ per key pair.
 
 from __future__ import annotations
 
-import itertools
+from itertools import accumulate, pairwise, product, repeat
 
 from .cells import (
     SubsetCell,
@@ -94,15 +94,17 @@ def check_operad_axioms(max_arity: int) -> dict:
     Each associativity case (x; ys; zs) compares ((x; ys); zs) with
     (x; (y_1; zs_1), ..., (y_n; zs_n)), both through ``gamma_key``, where
     zs_b is the block of zs that y_b takes.  For each inner arities (of
-    the zs) and outer arities (of the ys), every inner composite
-    (y; zs_b), for each y and zs_b of block b, is computed once, before
-    the loop over x, which it does not depend on.  The left sides are a
-    list per distinct (x; ys), for the current inner arities only; each
-    (x; ys) composes its right sides in one pass, compares the two lists,
-    and builds a zs only to name a failing case.  Cases run x, then ys,
-    then zs, so the first failure is the first case in that order.  The
-    zs are generated, never stored, so the tables hold only ints: the
-    check's peak memory stays a few kilobytes.
+    the zs), every zs is listed once, and for each outer arities (of the
+    ys), every inner composite (y; zs_b), for each y and zs_b of block b,
+    is computed once, before the loop over x, which it does not depend
+    on.  The left sides are a list over the listed zs per distinct
+    (x; ys), filled when that (x; ys) first occurs and kept for the
+    current inner arities only; each (x; ys) composes its right sides in
+    one pass, compares the two lists, and names a failing case by its
+    index into the listed zs.  Cases run x, then ys, then zs, so the
+    first failure is the first case in that order.  At arity 6 a block
+    lists at most 63 zs, and the check's peak memory stays a few tens of
+    kilobytes.
     """
     require_bound(max_arity, 1, "composite")
     unit_cases = 0
@@ -120,48 +122,36 @@ def check_operad_axioms(max_arity: int) -> dict:
         for mid_arity in range(1, total + 1):
             for inner_arities in compositions(total, mid_arity):
                 inner_bases = [subset_keys(k) for k in inner_arities]
-                # xy -> [(xy; zs) for every zs], for these inner arities
+                every_zs = list(product(*inner_bases))
+                # xy -> [(xy; zs) for zs in every_zs], for these inner arities
                 lhs_rows = {}
                 for n in range(1, mid_arity + 1):
                     for outer_arities in compositions(mid_arity, n):
                         # inner[b][j][k] = (j-th y of block b; k-th zs_b)
-                        inner = []
-                        start = 0
-                        for size in outer_arities:
-                            block = inner_bases[start : start + size]
-                            inner.append(
-                                [
-                                    [gamma_key(y, zb) for zb in itertools.product(*block)]
-                                    for y in subset_keys(size)
-                                ]
-                            )
-                            start += size
+                        inner = [
+                            [
+                                [gamma_key(y, zb) for zb in product(*inner_bases[i:j])]
+                                for y in subset_keys(j - i)
+                            ]
+                            for i, j in pairwise(accumulate(outer_arities, initial=0))
+                        ]
                         mid_bases = [subset_keys(i) for i in outer_arities]
                         for x in subset_keys(n):
-                            for ys, rows in zip(
-                                itertools.product(*mid_bases), itertools.product(*inner)
-                            ):
+                            for ys, rows in zip(product(*mid_bases), product(*inner)):
                                 xy = gamma_key(x, ys)
                                 lhs_row = lhs_rows.get(xy)
                                 if lhs_row is None:
-                                    lhs_row = lhs_rows[xy] = [
-                                        gamma_key(xy, zs) for zs in itertools.product(*inner_bases)
-                                    ]
+                                    lhs_row = lhs_rows[xy] = [gamma_key(xy, zs) for zs in every_zs]
                                 assoc_cases += len(lhs_row)
-                                # product(*rows) runs over the zs in the order
-                                # of product(*inner_bases)
-                                rhs_row = list(
-                                    map(gamma_key, itertools.repeat(x), itertools.product(*rows))
-                                )
+                                # product(*rows) runs over the zs in the order of every_zs
+                                rhs_row = list(map(gamma_key, repeat(x), product(*rows)))
                                 if rhs_row != lhs_row and first_failure is None:
                                     k = next(k for k, r in enumerate(rhs_row) if r != lhs_row[k])
-                                    every_zs = itertools.product(*inner_bases)
-                                    zs = next(itertools.islice(every_zs, k, None))
                                     first_failure = {
                                         "kind": "associativity",
                                         "x": key_literal(x),
                                         "ys": [key_literal(y) for y in ys],
-                                        "zs": [key_literal(z) for z in zs],
+                                        "zs": [key_literal(z) for z in every_zs[k]],
                                         "lhs": key_literal(lhs_row[k]),
                                         "rhs": key_literal(rhs_row[k]),
                                     }
@@ -369,16 +359,16 @@ def check_dg_rules(max_arity: int) -> dict:
     Candidates: the plain left rule, the right and mid rules carrying the
     classical Koszul sign (-1)^|x|, the four constant-correction variants
     of the signed mid rule, the sign-free right rule, and the degree-gated
-    mid rule the discovery run certifies.  Failures come with the first
-    counterexample, the only place cells are built.  ``passed`` requires
+    mid rule the discovery run certifies.  Each pair's terms are computed
+    once and dropped after the pair.  A rule that has failed is not
+    evaluated again: its counterexample is its first failing pair, the
+    only place cells are built, and every rule's ``checked`` is the pair
+    count.  ``passed`` requires
     the discovery to pass and the signed mid rule to fail on the
     generators.
     """
     require_bound(max_arity, 2, "cell pair")
-    results = [
-        {"name": name, "statement": stmt, "holds": True, "checked": 0, "counterexample": None}
-        for name, stmt, _, _ in DG_RULES
-    ]
+    failures: dict[str, dict] = {}
     pairs = 0
     for n in range(1, max_arity):
         for m in range(1, max_arity - n + 1):
@@ -386,27 +376,29 @@ def check_dg_rules(max_arity: int) -> dict:
                 for y in subset_keys(m):
                     pairs += 1
                     terms = dg_terms(x, y)
-                    for rule, entry in zip(DG_RULES, results):
+                    for rule in DG_RULES:
+                        # a failed rule keeps its first failing pair
+                        if rule[0] in failures:
+                            continue
                         lhs, rhs = _dg_sides(rule, x, y, terms)
-                        entry["checked"] += 1
-                        if lhs != rhs and entry["holds"]:
-                            entry["holds"] = False
-                            entry["counterexample"] = {
+                        if lhs != rhs:
+                            failures[rule[0]] = {
                                 "x": key_literal(x),
                                 "y": key_literal(y),
                                 "lhs": str(_of_keys(lhs)),
                                 "rhs": str(_of_keys(rhs)),
                             }
-    by_name = {e["name"]: e for e in results}
+    holds = {name: name not in failures for name, _, _, _ in DG_RULES}
+    results = [
+        {"name": name, "statement": stmt, "holds": holds[name], "checked": pairs,
+         "counterexample": failures.get(name)}
+        for name, stmt, _, _ in DG_RULES
+    ]
     signed_mid = next(rule for rule in DG_RULES if rule[0] == "mid_koszul_signed")
     gen_lhs, gen_rhs = _dg_sides(signed_mid, _UNIT_KEY, _UNIT_KEY, dg_terms(_UNIT_KEY, _UNIT_KEY))
-    mid_results = [e for rule, e in zip(DG_RULES, results) if rule[2] == "mid"]
-    universal_mid = [e["name"] for e in mid_results if e["holds"]]
+    universal_mid = [name for name, _, op, _ in DG_RULES if op == "mid" and holds[name]]
     discovery_passed = (
-        by_name["left_plain"]["holds"]
-        and by_name["right_unsigned"]["holds"]
-        and by_name["discovered_mid"]["holds"]
-        and universal_mid == ["discovered_mid"]
+        holds["left_plain"] and holds["right_unsigned"] and universal_mid == ["discovered_mid"]
     )
     signed_mid_fails = gen_lhs != gen_rhs
     return {

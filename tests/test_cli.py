@@ -276,6 +276,13 @@ def test_vacuous_bound_exits_2(capsys, argv):
     assert "smallest valid bound" in captured.err
 
 
+@pytest.mark.parametrize("level", ["bogus", "Full", ""])
+def test_certify_all_refuses_an_unknown_level(level):
+    # an unknown level would run the full certificate under a false name
+    with pytest.raises(ValueError, match="unknown level"):
+        certify_all(level)
+
+
 # ------------------------------------------------------------ check caps
 
 # (command, its check, module, the functions it runs, default bound,

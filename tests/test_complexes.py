@@ -154,6 +154,14 @@ def test_face_map_simplex_range():
         face_map(2, cell("{1}@2"), (A, A), simplex_face())
 
 
+def test_face_map_refuses_an_element_that_is_not_a_basis_element():
+    # a coefficient of arity n has n - 1 faces and takes n factors
+    with pytest.raises(ValueError, match="takes 3 factors, got 2"):
+        face_map(1, cell("{1}@3"), (A, A), simplex_face())
+    with pytest.raises(ValueError, match="takes 2 factors, got 3"):
+        face_map(1, parse_tree("(|,|,|)"), (cell("{1}@1"),) * 3, tree_face())
+
+
 def test_face_map_tree_middle_leaf_pinned():
     # corolla coefficient, face 1 reads leaf 2 (middle) -> mid product
     corolla = parse_tree("(|,|,|)")
@@ -552,6 +560,9 @@ def test_levels_decode_ids_in_enumeration_order(family):
             assert gc.element(n, len(basis) - 1) == basis[-1]
             with pytest.raises(IndexError):
                 gc.element(n, len(basis))
+        for n in (0, w + 1):
+            with pytest.raises(IndexError, match=f"id 0 out of range 0..-1 at level {n}"):
+                gc.element(n, 0)
 
 
 def test_d_squared_check_stops_at_first_failure():

@@ -1,5 +1,7 @@
 """Relation-span duality certificate on the 18-dimensional pairing space."""
 
+import pytest
+
 from trioperad.dendriform import DENDRIFORM_SCHEME
 from trioperad.duality import (
     DIMENSION,
@@ -28,6 +30,9 @@ def test_dimension_and_index():
     assert seen == set(range(18))
     assert basis_index(1, 0, 0) == 0
     assert basis_index(2, 2, 2) == 17
+    for outer, inner in [(3, 0), (0, -1), (-1, 2), (2, 3)]:
+        with pytest.raises(ValueError, match="generator indices"):
+            basis_index(1, outer, inner)
 
 
 def test_relation_vector_counts_and_ranks():

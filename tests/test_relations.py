@@ -80,6 +80,13 @@ def _failing_entry(entries, row):
     return ce
 
 
+@pytest.mark.parametrize("scheme", [TRIALGEBRA_SCHEME, DENDRIFORM_SCHEME])
+def test_harness_refuses_a_scheme_with_no_rows(scheme):
+    # no rows would return no entries, and all() of them would pass
+    with pytest.raises(ValueError, match="no rows"):
+        check_scheme(scheme._replace(rows=()), 3 * scheme.min_size)
+
+
 def test_harness_rejects_the_duality_negative_control():
     # relation 8 with its inner right-hand product flipped to left: the
     # pairing side of the duality certificate already rejects it
