@@ -57,13 +57,16 @@ class _Immutable:
 
 class SubsetCell(_Immutable):
     """Nonempty subset X of {1..arity}, a cell of the (arity-1)-simplex,
-    stored as the mask with bit e-1 set iff e is in X.  Only the range is
-    checked here; ``parse_subset_cell`` validates literals.  Immutable:
-    equal cells (same arity and mask) hash equal."""
+    stored as the mask with bit e-1 set iff e is in X.  Only the types and
+    the range are checked here; ``parse_subset_cell`` validates literals.
+    Immutable: equal cells (same arity and mask) hash equal."""
 
     __slots__ = ("arity", "mask")
 
     def __init__(self, arity: int, mask: int) -> None:
+        # a bool is an int subclass, but {1}@True is no literal
+        if arity.__class__ is not int:
+            raise TypeError(f"arity must be an int, not {arity.__class__.__name__}")
         if arity < 1:
             raise ValueError("arity must be >= 1")
         if not isinstance(mask, int):
@@ -367,18 +370,14 @@ def enumerate_planar_trees(leaf_count: int) -> list[PlanarTree]:
 
 def compositions(total: int, parts: int):
     """Yield all ordered tuples of ``parts`` positive ints summing to total
-    (for ``parts < 1``, only the empty composition of 0)."""
-    if parts == 1:
-        if total >= 1:
-            yield (total,)
-        return
-    if parts < 1:
+    (for ``parts < 1``, only the empty composition of 0), read off their
+    parts - 1 cut points in 1..total-1, whose lex order is theirs."""
+    if parts < 1 or total < parts:
         if parts == total == 0:
             yield ()
         return
-    for first in range(1, total - parts + 2):
-        for rest in compositions(total - first, parts - 1):
-            yield (first,) + rest
+    for cuts in itertools.combinations(range(1, total), parts - 1):
+        yield tuple(b - a for a, b in itertools.pairwise((0, *cuts, total)))
 
 
 # =====================================================================
@@ -402,15 +401,12 @@ def leaf_faces(t: PlanarTree, memo: dict | None = None) -> tuple:
     trees that share subtrees, such as all coefficients of one complex,
     build each subtree's table once; its owner decides how long it lives.
     """
-    if t.is_leaf:
-        raise ValueError("the one-leaf tree has no leaf faces")
-    return _leaf_faces(t, {} if memo is None else memo)
-
-
-def _leaf_faces(t: PlanarTree, memo: dict) -> tuple:
+    memo = {} if memo is None else memo
     out = memo.get(t)
     if out is not None:
         return out
+    if not t.children:
+        raise ValueError("the one-leaf tree has no leaf faces")
     out = []
     kids = t.children
     last = len(kids) - 1
@@ -430,7 +426,7 @@ def _leaf_faces(t: PlanarTree, memo: dict) -> tuple:
         else:
             out.extend(
                 (PlanarTree(head + (sub,) + tail), orientation)
-                for sub, orientation in _leaf_faces(child, memo)
+                for sub, orientation in leaf_faces(child, memo)
             )
     out = memo[t] = tuple(out)
     return out

@@ -94,11 +94,12 @@ def _complement_matches(tri_vecs, dend_vecs, orthogonal: bool) -> bool:
     whether the two spans pair to zero (``orthogonal``).
 
     The annihilator is the kernel of tri_vecs . G (G the diagonal Gram
-    matrix of slot weights), of dimension 18 - rank(tri_vecs . G).  A span
-    that pairs to zero against tri_vecs and has that dimension is it.
+    matrix of slot weights), of dimension 18 - rank(tri_vecs . G).  The
+    weights are +-1 (``pairing_nondegenerate``), so G is invertible and
+    that rank is rank(tri_vecs).  A span that pairs to zero against
+    tri_vecs and has that dimension is the annihilator.
     """
-    weighted = [[wi * v for wi, v in zip(_SLOT_WEIGHTS, vec)] for vec in tri_vecs]
-    return orthogonal and rank(dend_vecs) == DIMENSION - rank(weighted)
+    return orthogonal and rank(dend_vecs) == DIMENSION - rank(tri_vecs)
 
 
 def _associative_diagonal_report(tri_vecs, dend_vecs, rank_dend: int) -> dict:

@@ -144,6 +144,81 @@ MUTANTS = [
             "ValueError",
         ),
     ),
+    Mutant(
+        "leaf faces with LEFT and RIGHT swapped", "cells",
+        "                LeafOrientation.LEFT\n"
+        "                if idx == 0\n"
+        "                else LeafOrientation.RIGHT\n",
+        "                LeafOrientation.RIGHT\n"
+        "                if idx == 0\n"
+        "                else LeafOrientation.LEFT\n",
+        passes("cli", "certify_all('quick')"),
+    ),
+    Mutant(
+        "tree_face's slice one leaf to the right", "complexes",
+        "[leaf_offset : leaf_offset + tree.leaves - 2]",
+        "[leaf_offset + 1 : leaf_offset + tree.leaves - 1]",
+        passes("cli", "certify_all('quick')"),
+    ),
+    Mutant(
+        "homology_ranks clears pivots without d² = 0", "complexes",
+        "        if gc.d_squared_zero:\n"
+        "            cleared = set(pivots)\n",
+        "        cleared = set(pivots)\n",
+        pytest_node("tests/test_complexes.py::test_clearing_needs_d_squared_zero"),
+    ),
+    Mutant(
+        "_unpack reads plain digits, not balanced ones", "series",
+        "d = ((v + half) & mask) - half", "d = v & mask",
+        passes("series", "series_identities_report(12)"),
+    ),
+    Mutant(
+        "duality imports hashlib at module level", "duality",
+        "\nimport json\n", "\nimport hashlib\nimport json\n",
+        pytest_node("tests/test_imports.py::test_cli_import_loads_no_fenced_module"),
+    ),
+    Mutant(
+        "check_cases counts triples for every check", "relations",
+        'k = 2 if check == "dg_rules" else 3', "k = 3",
+        pytest_node("tests/test_relations.py::test_check_cases_count_what_the_checks_visit"),
+    ),
+    Mutant(
+        "_succ returns its first tree twice", "dendriform",
+        "    return graft_each((), _star(x, parts[0]), parts[1:])\n",
+        "    terms = graft_each((), _star(x, parts[0]), parts[1:])\n"
+        "    return terms[:1] + terms\n",
+        passes("cli", "certify_all('quick')"),
+    ),
+    Mutant(
+        # the certificate's series checks, at order 12 and at 100, cannot
+        # see a packing width one bit short; only the naive reference can
+        "_width one bit short", "series",
+        "max(map(abs, bounds)).bit_length() + 1", "max(map(abs, bounds)).bit_length()",
+        pytest_node("tests/test_series.py::test_compose_and_invert_match_naive_reference"),
+    ),
+    Mutant(
+        "compositions yields each composition reversed", "cells",
+        "itertools.pairwise((0, *cuts, total)))", "itertools.pairwise((0, *cuts, total)))[::-1]",
+        pytest_node("tests/test_cells.py::test_compositions"),
+    ),
+    Mutant(
+        "leaf_faces of the one-leaf tree is empty", "cells",
+        "    if not t.children:\n"
+        '        raise ValueError("the one-leaf tree has no leaf faces")\n',
+        "",
+        pytest_node("tests/test_cells.py::test_leaf_faces_of_the_one_leaf_tree_raise"),
+    ),
+    Mutant(
+        "the complement test skips the rank count", "duality",
+        "    return orthogonal and rank(dend_vecs) == DIMENSION - rank(tri_vecs)\n",
+        "    return orthogonal\n",
+        pytest_node("tests/test_duality.py::test_complement_rejects_a_dropped_dendriform_vector"),
+    ),
+    Mutant(
+        "SubsetCell takes any arity", "cells",
+        "        if arity.__class__ is not int:\n", "        if False:\n",
+        raises("from trioperad.cells import SubsetCell", "SubsetCell(2.0, 1)", "TypeError"),
+    ),
 ]
 
 

@@ -1,6 +1,7 @@
 """Basis cells: simplex subsets, planar trees, cube words."""
 
 import copy
+import itertools
 import operator
 import pickle
 
@@ -59,6 +60,11 @@ def test_subset_cell_validation():
         SubsetCell(0, 1)
     with pytest.raises(TypeError, match="mask.*parse_subset_cell"):
         SubsetCell(3, (1, 2))
+    # a float arity would build {1}@2.0, whose key cannot shift by it, and
+    # a bool one {1}@True
+    for arity in (2.0, True, "2"):
+        with pytest.raises(TypeError, match="arity must be an int"):
+            SubsetCell(arity, 1)
 
 
 @pytest.mark.parametrize(
@@ -470,3 +476,16 @@ def test_compositions():
     assert list(compositions(3, 0)) == []
     assert list(compositions(0, 0)) == [()]
     assert list(compositions(2, -1)) == []
+    # no composition of a negative total, nor of 0 into a part
+    assert list(compositions(0, 1)) == []
+    assert list(compositions(-1, 1)) == []
+    # brute force, order included: every tuple of parts, in product
+    # order, whose sum is the total; no part exceeds total - parts + 1
+    for total in range(9):
+        for parts in range(1, 10):
+            want = [
+                c
+                for c in itertools.product(range(1, total - parts + 2), repeat=parts)
+                if sum(c) == total
+            ]
+            assert list(compositions(total, parts)) == want
