@@ -69,7 +69,7 @@ class SubsetCell(_Immutable):
             raise TypeError(f"arity must be an int, not {arity.__class__.__name__}")
         if arity < 1:
             raise ValueError("arity must be >= 1")
-        if not isinstance(mask, int):
+        if mask.__class__ is not int:
             raise TypeError("mask must be an int bitmask; parse literals with parse_subset_cell")
         if mask <= 0 or mask.bit_length() > arity:
             raise ValueError(f"mask must select a nonempty subset of 1..{arity}")
@@ -169,10 +169,8 @@ def subset_keys(n: int) -> range:
 
 
 def enumerate_subset_cells(n: int) -> list[SubsetCell]:
-    """All 2^n - 1 cells of the (n-1)-simplex, in ascending bitmask order."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return [SubsetCell(n, m) for m in range(1, 1 << n)]
+    """All 2^n - 1 cells of the (n-1)-simplex, in ``subset_keys(n)`` order."""
+    return list(map(cell_of_key, subset_keys(n)))
 
 
 # =====================================================================
@@ -183,8 +181,8 @@ def enumerate_subset_cells(n: int) -> list[SubsetCell]:
 class PlanarTree:
     """Planar rooted tree; every internal vertex has >= 2 children.
 
-    The one-leaf tree is ``LEAF`` (children == ()); everything else is a
-    node built by ``graft``.  One instance per tree: equality is identity.
+    The one-leaf tree is ``LEAF`` (children == ()); every other tree is
+    made by ``graft_each``.  One instance per tree: equality is identity.
     """
 
     __slots__ = ("children", "leaves", "vertices")
@@ -196,15 +194,7 @@ class PlanarTree:
             return known
         if len(children) == 1:
             raise ValueError("internal vertices need >= 2 children")
-        leaves, vertices = 0, 1
-        for c in children:
-            leaves += c.leaves
-            vertices += c.vertices
-        self = super().__new__(cls)
-        self.children = children
-        self.leaves, self.vertices = (leaves, vertices) if children else (1, 0)
-        # setdefault, so two constructors racing on one tree return one object
-        return _TREES.setdefault(children, self)
+        return graft_each(children[:-1], children[-1:], ())[0]
 
     def __reduce__(self):
         # the default copy would get LEAF from __new__() and overwrite it
@@ -231,7 +221,8 @@ class PlanarTree:
 
 _TREES: dict[tuple, PlanarTree] = {}  # children tuple -> the one tree with them
 _new_tree = object.__new__
-LEAF = PlanarTree()
+LEAF = _TREES[()] = _new_tree(PlanarTree)
+LEAF.children, LEAF.leaves, LEAF.vertices = (), 1, 0
 
 
 def tree_literals(trees: "list[PlanarTree] | tuple[PlanarTree, ...]") -> list[str]:
@@ -265,8 +256,8 @@ def graft(parts: "list[PlanarTree] | tuple[PlanarTree, ...]") -> PlanarTree:
 
 def graft_each(head: tuple, trees, tail: tuple) -> tuple:
     """``graft(head + (t,) + tail)`` for each t in ``trees``: one table
-    lookup per tree; a new tree is made here, from the leaf and vertex
-    totals of ``head + tail``, without the constructor."""
+    lookup per tree.  Every tree but ``LEAF`` is made here, from the leaf
+    and vertex totals of ``head + tail``."""
     if not head and not tail:
         raise ValueError("graft needs at least two trees")
     leaves, vertices = 0, 1
@@ -281,7 +272,7 @@ def graft_each(head: tuple, trees, tail: tuple) -> tuple:
             tree.children = k
             tree.leaves = leaves + t.leaves
             tree.vertices = vertices + t.vertices
-            tree = _TREES.setdefault(k, tree)
+            tree = _TREES.setdefault(k, tree)  # so racing makers share one tree
         out.append(tree)
     return tuple(out)
 
@@ -351,8 +342,10 @@ def _trees_with_leaves(leaf_count: int) -> tuple[PlanarTree, ...]:
     out = []
     for k in range(2, leaf_count + 1):
         for comp in compositions(leaf_count, k):
-            for combo in itertools.product(*(_trees_with_leaves(c) for c in comp)):
-                out.append(PlanarTree(combo))
+            # product runs its last factor fastest, as graft_each runs its trees
+            last = _trees_with_leaves(comp[-1])
+            for head in itertools.product(*map(_trees_with_leaves, comp[:-1])):
+                out.extend(graft_each(head, last, ()))
     return tuple(out)
 
 
@@ -424,10 +417,8 @@ def leaf_faces(t: PlanarTree, memo: dict | None = None) -> tuple:
             )
             out.append((rest[0] if len(rest) == 1 else PlanarTree(rest), orientation))
         else:
-            out.extend(
-                (PlanarTree(head + (sub,) + tail), orientation)
-                for sub, orientation in leaf_faces(child, memo)
-            )
+            subs, orientations = zip(*leaf_faces(child, memo))
+            out.extend(zip(graft_each(head, subs, tail), orientations))
     out = memo[t] = tuple(out)
     return out
 

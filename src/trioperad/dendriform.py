@@ -93,9 +93,6 @@ def _bilinear(basis_op, allow_leaf: bool):
                 "the one-leaf tree is a unit for star only, "
                 "not an argument of prec/succ/mid"
             )
-        if len(xs) == 1 and len(ys) == 1:
-            ((bx, cx),), ((by, cy),) = xs.items(), ys.items()
-            return LinComb._of(dict.fromkeys(basis_op(bx, by), cx * cy))
         d: dict = {}
         for bx, cx in xs.items():
             for by, cy in ys.items():

@@ -6,8 +6,8 @@ checks run on plain ints.  ``Fraction`` enters only at the edge, through
 a non-integer user scalar, which alone imports ``fractions``.
 ``LinComb._of(d)`` is the internal constructor of the product hot paths:
 it takes ownership of a dict with no zero coefficients and wraps it
-without a copy, so a product adds all its terms into one dict
-(``_add_into``) and builds one ``LinComb``.
+without a copy, so a product adds all its terms into one dict and builds
+one ``LinComb``.  ``_add_into`` is the summing loop of every other sum.
 
 ``rank`` is the one elimination engine, a fraction-free row reduction:
 it reduces each row in turn against the rows kept under their highest
@@ -42,13 +42,7 @@ class LinComb:
     def __init__(self, terms: "Mapping | Iterable[tuple] | None" = None):
         d: dict = {}
         if terms is not None:
-            items = terms.items() if isinstance(terms, Mapping) else terms
-            for basis, coeff in items:
-                c = d.get(basis, 0) + coeff
-                if c:
-                    d[basis] = c
-                elif basis in d:
-                    del d[basis]
+            _add_into(d, terms.items() if isinstance(terms, Mapping) else terms)
         self._terms = d
 
     @classmethod
@@ -77,7 +71,7 @@ class LinComb:
 
     def __add__(self, other: "LinComb") -> "LinComb":
         d = dict(self._terms)
-        _add_into(d, other._terms)
+        _add_into(d, other._terms.items())
         return LinComb._of(d)
 
     def __sub__(self, other: "LinComb") -> "LinComb":
@@ -128,9 +122,10 @@ class LinComb:
     __repr__ = __str__
 
 
-def _add_into(d: dict, terms: dict, scale=1) -> None:
-    """d += scale * terms, dropping the coefficients that cancel."""
-    for b, c in terms.items():
+def _add_into(d: dict, terms: Iterable[tuple], scale=1) -> None:
+    """d += scale * terms, for (basis, coefficient) pairs, dropping the
+    coefficients that cancel: the one summing loop of ``LinComb``."""
+    for b, c in terms:
         s = d.get(b, 0) + scale * c
         if s:
             d[b] = s
@@ -197,7 +192,7 @@ def rank(rows: Iterable, pivots: list | None = None) -> int:
                 break
             pc, rc = p[c], r[c]
             r = {k: pc * v for k, v in r.items()}
-            _add_into(r, p, -rc)
+            _add_into(r, p.items(), -rc)
             if r:
                 g = gcd(*r.values())
                 if g > 1:

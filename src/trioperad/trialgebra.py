@@ -296,7 +296,7 @@ def boundary(x) -> LinComb:
     one dict on keys."""
     d: dict = {}
     for k, c in _keyed(x):
-        _add_into(d, boundary_key(k), c)
+        _add_into(d, boundary_key(k).items(), c)
     return _of_keys(d)
 
 
@@ -348,7 +348,7 @@ def _dg_sides(rule, x: int, y: int, terms: dict) -> tuple[dict, dict]:
     rhs: dict = {}
     for term, c in coefficients(x.bit_count() - 2, y.bit_count() - 2).items():
         if c:
-            _add_into(rhs, terms[term], c)
+            _add_into(rhs, terms[term].items(), c)
     return terms[f"d(x {op} y)"], rhs
 
 

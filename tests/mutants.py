@@ -219,6 +219,44 @@ MUTANTS = [
         "        if arity.__class__ is not int:\n", "        if False:\n",
         raises("from trioperad.cells import SubsetCell", "SubsetCell(2.0, 1)", "TypeError"),
     ),
+    Mutant(
+        "SubsetCell takes a bool mask", "cells",
+        "        if mask.__class__ is not int:\n", "        if not isinstance(mask, int):\n",
+        raises("from trioperad.cells import SubsetCell", "SubsetCell(1, True)", "TypeError"),
+    ),
+    Mutant(
+        "the operad check never compares a unit composition", "trialgebra",
+        "            if gamma_key(x, units) != x or gamma_key(_UNIT_KEY, [x]) != x:\n",
+        "            if False:\n",
+        pytest_node("tests/test_relations.py::test_operad_check_reports_a_broken_unit"),
+    ),
+    Mutant(
+        "graft_each counts vertices from 0", "cells",
+        "    leaves, vertices = 0, 1\n", "    leaves, vertices = 0, 0\n",
+        pytest_node("tests/test_cells.py::test_leaf_and_graft"),
+    ),
+    Mutant(
+        "leaf_faces grafts a face with head and tail swapped", "cells",
+        "graft_each(head, subs, tail)", "graft_each(tail, subs, head)",
+        pytest_node("tests/test_cells.py::test_leaf_faces_match_the_slow_reference"),
+    ),
+    Mutant(
+        "enumerate_subset_cells lists the keys in reverse", "cells",
+        "map(cell_of_key, subset_keys(n))", "map(cell_of_key, reversed(subset_keys(n)))",
+        pytest_node("tests/test_cells.py::test_enumerate_subset_cells_pinned_order"),
+    ),
+    Mutant(
+        # the certificate's products repeat no tree, so only a sum of
+        # repeated trees sees it
+        "tree products overwrite a coefficient instead of summing", "dendriform",
+        "                    s = d.get(t, 0) + c\n", "                    s = c\n",
+        pytest_node("tests/test_dendriform.py::test_multiset_ops_agree_with_lincomb_ops"),
+    ),
+    Mutant(
+        "_trees_with_leaves grafts the last child first", "cells",
+        "graft_each(head, last, ())", "graft_each((), last, head)",
+        pytest_node("tests/test_cells.py::test_enumerate_planar_trees_in_the_documented_order"),
+    ),
 ]
 
 

@@ -29,6 +29,7 @@ from trioperad.cells import (
     parse_subset_cell,
     parse_tree,
     remove_leaf,
+    subset_keys,
 )
 from trioperad.dendriform import _mid, _prec, _star, _succ
 
@@ -58,8 +59,10 @@ def test_subset_cell_validation():
         SubsetCell(2, 0b100)
     with pytest.raises(ValueError):
         SubsetCell(0, 1)
-    with pytest.raises(TypeError, match="mask.*parse_subset_cell"):
-        SubsetCell(3, (1, 2))
+    # a bool is an int too, but SubsetCell(1, True) is no cell
+    for arity, mask in ((3, (1, 2)), (1, True)):
+        with pytest.raises(TypeError, match="mask.*parse_subset_cell"):
+            SubsetCell(arity, mask)
     # a float arity would build {1}@2.0, whose key cannot shift by it, and
     # a bool one {1}@True
     for arity in (2.0, True, "2"):
@@ -166,6 +169,23 @@ def test_subset_degree_counts_are_binomial():
         for c in enumerate_subset_cells(n):
             by_degree[c.degree] = by_degree.get(c.degree, 0) + 1
         assert by_degree == {d: comb(n, d + 1) for d in range(n)}
+
+
+@pytest.mark.parametrize(
+    "call, why",
+    [
+        (lambda: subset_keys(0), "n must be >= 1"),
+        (lambda: enumerate_subset_cells(0), "n must be >= 1"),
+        (lambda: enumerate_planar_trees(0), "leaf_count must be >= 1"),
+        (lambda: enumerate_cube_cells(0), "n must be >= 1"),
+        (lambda: decompose(LEAF), "no root decomposition"),
+    ],
+    ids=["subset_keys", "enumerate_subset_cells", "enumerate_planar_trees",
+         "enumerate_cube_cells", "decompose"],
+)
+def test_guards_refuse_what_has_no_cells(call, why):
+    with pytest.raises(ValueError, match=why):
+        call()
 
 
 # ------------------------------------------------------------------ trees
@@ -286,6 +306,18 @@ def test_enumerate_planar_trees_counts():
         if leaves > 1:
             # trees with n + 1 leaves are the cells of arity n
             assert cell_count("tree", leaves - 1) == want
+
+
+def _order_key(t: PlanarTree) -> tuple:
+    # the documented order: root arity, then the leaf counts of the
+    # children, then the children themselves, recursively
+    return (len(t.children), [c.leaves for c in t.children], [_order_key(c) for c in t.children])
+
+
+def test_enumerate_planar_trees_in_the_documented_order():
+    for n in range(1, 9):
+        trees = enumerate_planar_trees(n)
+        assert trees == sorted(trees, key=_order_key)
 
 
 def test_leaf_orientation_pinned():

@@ -394,6 +394,14 @@ def test_star_power_three_has_eleven_terms():
     assert len(star_power(3)) == 11
 
 
+@pytest.mark.parametrize(
+    "call, why", [(lambda: star_power(0), "n must be >= 1")], ids=["star_power"]
+)
+def test_guards_refuse_an_empty_power(call, why):
+    with pytest.raises(ValueError, match=why):
+        call()
+
+
 # Run in a fresh interpreter, where every tree of a star power is first
 # made by a product (``cells.graft_each``), not by the constructor or an
 # enumeration: a wrong field on a product-made tree then shows in its

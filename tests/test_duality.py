@@ -35,6 +35,14 @@ def test_dimension_and_index():
             basis_index(1, outer, inner)
 
 
+@pytest.mark.parametrize(
+    "call, why", [(lambda: basis_index(3, 0, 0), "slot must be 1 or 2")], ids=["slot"]
+)
+def test_guards_refuse_an_index_outside_the_space(call, why):
+    with pytest.raises(ValueError, match=why):
+        call()
+
+
 def test_relation_vector_counts_and_ranks():
     tri = relation_vectors(TRIALGEBRA_SCHEME)
     dend = relation_vectors(DENDRIFORM_SCHEME)

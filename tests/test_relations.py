@@ -168,6 +168,19 @@ def test_operad_check_rejects_a_composition_broken_at_arity_6(monkeypatch):
     }
 
 
+def _unit_breaking_gamma_key(outer, args):
+    # gamma, except that {1,3}@3 composed with three units loses its
+    # element 1: only that cell's right unit law fails
+    if outer == 0b1101 and list(args) == [0b11] * 3:
+        return 0b1100
+    return _GAMMA_KEY(outer, args)
+
+
+def test_operad_check_reports_a_broken_unit(monkeypatch):
+    want = {"kind": "unit", "x": "{1,3}@3"}
+    assert _first_failure(monkeypatch, _unit_breaking_gamma_key, 3) == want
+
+
 def test_operad_check_composes_at_most_twice_per_case(monkeypatch):
     # the inner composites are shared by every x, and each left side by
     # every x and ys with the same (x; ys)

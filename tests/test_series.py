@@ -52,6 +52,9 @@ def test_tpoly_basics():
     assert TPoly((0, 0)).is_zero()
     assert not TPoly((0, 1)).is_zero()
     assert TPoly((1, 0)) == TPoly.const(1)
+    # a zero coefficient is skipped, and the zero polynomial reads 0
+    assert str(TPoly((1, 0, 1))) == "1 + t^2"
+    assert str(TPoly()) == "0"
 
 
 def test_tpoly_arithmetic():
@@ -205,6 +208,21 @@ def test_compose_and_invert_take_int_coefficients_only():
         TSeries.x(4).compose(half)
     with pytest.raises(TypeError, match="must be int"):
         half.invert()
+
+
+@pytest.mark.parametrize(
+    "call, why",
+    [
+        (lambda: TSeries(-1), "order must be >= 0"),
+        (lambda: TSeries.x(3).compose(TSeries.x(4)), "orders differ"),
+        (lambda: TSeries.x(3).compose(TSeries(3, (1, 1))), "zero constant term"),
+        (lambda: TSeries(3, (1, 1)).invert(), "zero constant term"),
+    ],
+    ids=["negative order", "orders differ", "compose constant term", "invert constant term"],
+)
+def test_guards_refuse_a_series_they_cannot_take(call, why):
+    with pytest.raises(ValueError, match=why):
+        call()
 
 
 def test_tseries_invert_order_zero():
